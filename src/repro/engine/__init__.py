@@ -68,11 +68,9 @@ model is any :data:`~repro.engine.cells.ModelLike` — a registry name, a
 ``.model`` file path, a ``ctor:`` construction spec or a built
 :class:`~repro.core.axiomatic.MemoryModel` — and the cache keys hash
 model *content* (clauses + axioms), so a file-defined model caches
-correctly and an edited one misses.  The per-test batch is also the seam
-for scale-out: :mod:`repro.serve` swaps the per-call pool for a
-long-lived daemon owning one warm executor and one shared
-:class:`ResultCache`, and its ``RemoteScheduler`` drops into the same
-``evaluate_cells`` signature — the cells and the cache are untouched.
+correctly and an edited one misses.  A warmed :class:`ResultCache`
+travels between machines as a digest-validated tarball
+(:meth:`ResultCache.export_tarball` / :meth:`ResultCache.import_tarball`).
 """
 
 from __future__ import annotations

@@ -15,15 +15,14 @@ an atomic rename, which keeps concurrent pool workers from ever observing
 a torn entry.
 
 The cache directory is safe to *share*: any number of processes — pool
-workers, a verdict daemon's request threads, several independent runs —
-may read and write one directory concurrently.  Writers never collide
-(``mkstemp`` names are unique, ``os.replace`` is atomic, and duplicate
-stores of one key are idempotent by construction: the key hashes the
-inputs and the payload is a pure function of them), readers never see a
-torn entry, and a writer that is killed mid-store leaves only an
-orphaned ``*.tmp`` file that lookups ignore and
-:meth:`ResultCache.purge_stale_tmp` sweeps.  A warmed directory can also
-be shipped whole: :meth:`ResultCache.export_tarball` /
+workers, several independent runs — may read and write one directory
+concurrently.  Writers never collide (``mkstemp`` names are unique,
+``os.replace`` is atomic, and duplicate stores of one key are idempotent
+by construction: the key hashes the inputs and the payload is a pure
+function of them), readers never see a torn entry, and a writer that is
+killed mid-store leaves only an orphaned ``*.tmp`` file that lookups
+ignore and :meth:`ResultCache.purge_stale_tmp` sweeps.  A warmed
+directory can also be shipped whole: :meth:`ResultCache.export_tarball` /
 :meth:`ResultCache.import_tarball` move the store between machines with
 per-entry digest validation and an :data:`~repro.engine.cells
 .ENGINE_VERSION` stamp, so a foreign archive can never inject corrupt or
@@ -114,9 +113,8 @@ def _outcome_from_json(data: dict) -> Outcome:
 def outcomes_to_json(outcomes: frozenset) -> list:
     """Canonical JSON-able form of an outcome set (sorted, lossless).
 
-    Shared by the on-disk cache payloads and the serve protocol's wire
-    encoding, so a result crossing either boundary round-trips to the
-    identical ``frozenset`` and renders byte-identically.
+    Used by the on-disk cache payloads, so a cached result round-trips
+    to the identical ``frozenset`` and renders byte-identically.
     """
     return sorted(
         (_outcome_to_json(outcome) for outcome in outcomes),

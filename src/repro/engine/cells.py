@@ -75,7 +75,7 @@ __all__ = [
     "evaluate_cell",
 ]
 
-ENGINE_VERSION = 6
+ENGINE_VERSION = 7
 """Bumped whenever engine/axiomatic semantics change, invalidating caches.
 
 Version history:
@@ -110,6 +110,10 @@ Version history:
   unchanged, but the cache payload helpers moved and the R004 invariant
   ties every engine-path diff to a bump, so pre-serve entries re-verify
   rather than vouch for the shared-store code paths.
+* 7 — the verdict daemon and its ``evaluate=`` backend seam were
+  removed; every grid calls :func:`evaluate_cells` directly.  Results
+  are unchanged, but engine docstrings changed and the R004 invariant
+  ties every engine-path diff to a bump, so version-6 entries re-verify.
 """
 
 ModelLike = Union[str, MemoryModel]

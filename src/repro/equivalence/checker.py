@@ -121,7 +121,6 @@ def _engine_reports(
     cache_dir: Optional[str],
     policy=None,
     fault_plan=None,
-    evaluate=None,
 ) -> list[EquivalenceReport]:
     """Evaluate default-pair cells through the batch engine.
 
@@ -132,8 +131,6 @@ def _engine_reports(
     """
     from ..engine import CellFailure, OutcomeSpec, evaluate_cells
 
-    if evaluate is None:
-        evaluate = evaluate_cells
     known = default_pairs()
     for pair_name in pair_names:
         if pair_name not in known:
@@ -150,7 +147,7 @@ def _engine_reports(
                 test, pair_name, project="full", oracle=f"operational:{pair_name}"
             )
         )
-    results = evaluate(
+    results = evaluate_cells(
         specs, jobs=jobs, cache_dir=cache_dir, policy=policy,
         fault_plan=fault_plan,
     )
@@ -183,7 +180,6 @@ def check_suite(
     cache_dir: Optional[str] = None,
     policy=None,
     fault_plan=None,
-    evaluate=None,
 ) -> list[EquivalenceReport]:
     """Compare the requested pairs over a whole suite.
 
@@ -194,14 +190,13 @@ def check_suite(
     mapping may hold arbitrary callables (often closures the pool cannot
     ship), so it is evaluated in-process regardless of ``jobs``, and
     ``policy``/``fault_plan`` (the engine's fault-tolerance and
-    fault-injection hooks) and ``evaluate`` (the engine-backend seam,
-    e.g. a :class:`~repro.serve.RemoteScheduler` method) do not apply.
+    fault-injection hooks) do not apply.
     """
     materialized = list(tests)
     if pairs is None:
         return _engine_reports(
             materialized, pair_names, jobs, cache_dir,
-            policy=policy, fault_plan=fault_plan, evaluate=evaluate,
+            policy=policy, fault_plan=fault_plan,
         )
     reports = []
     for test in materialized:

@@ -68,7 +68,6 @@ def litmus_matrix(
     cache_dir: Optional[str] = None,
     policy: Optional[ExecutionPolicy] = None,
     fault_plan: Optional[FaultPlan] = None,
-    evaluate=None,
 ) -> list[VerdictCell]:
     """Evaluate every (test, model) verdict through the batch engine.
 
@@ -84,21 +83,13 @@ def litmus_matrix(
     non-raising policy a failed test's cells come back with
     ``VerdictCell.failure`` set and render as ``skip``.  ``fault_plan``
     is the fault-injection hook (tests only).
-
-    ``evaluate`` swaps the engine backend — any callable with the
-    :func:`~repro.engine.evaluate_cells` signature, in practice a
-    :class:`~repro.serve.RemoteScheduler` bound method when the grid
-    should route through a verdict server.  Results are identical by
-    protocol, so rendering never knows which backend answered.
     """
     materialized = list(tests) if tests is not None else list(paper_suite())
     asked = [test for test in materialized if test.asked is not None]
     specs = [
         VerdictSpec(test, model) for test in asked for model in model_names
     ]
-    if evaluate is None:
-        evaluate = evaluate_cells
-    verdicts = evaluate(
+    verdicts = evaluate_cells(
         specs, jobs=jobs, cache_dir=cache_dir, policy=policy,
         fault_plan=fault_plan,
     )

@@ -358,16 +358,15 @@ CODES: dict[str, CodeInfo] = dict(
         _info(
             "R006",
             Severity.ERROR,
-            "network-outside-serve",
+            "network-import",
             "Code under `src/repro/` imports socket or HTTP machinery "
             "(`socket`, `socketserver`, `http.*`, `urllib.request`, "
-            "`xmlrpc`) outside `src/repro/serve/`.  Every byte that "
-            "crosses a machine boundary must go through the serve "
-            "package's versioned protocol — content-addressed JSON with "
-            "a handshake and structured errors — so results stay "
-            "interchangeable and nothing grows an ad-hoc wire format "
-            "(see `docs/serving.md`).  `urllib.parse` is fine: splitting "
-            "a URL string reads no socket.",
+            "`xmlrpc`).  The toolbox is local-only: the checker, the "
+            "machines and the simulator all run in-process, and a warmed "
+            "result cache crosses machines as a digest-validated file "
+            "(`repro cache export/import`), never over a socket.  No path "
+            "is exempt.  `urllib.parse` is fine: splitting a URL string "
+            "reads no socket.",
             "`import http.client` inside `src/repro/campaign/`.",
         ),
     )

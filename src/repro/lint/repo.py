@@ -24,10 +24,9 @@ apply exactly where the invariant holds and nowhere else:
   (``time_block``/``monotonic``) so it is free when stats are off and
   always lands in the run report; ``src/repro/obs/`` itself is the
   sanctioned wrapper and is exempt;
-* ``R006`` (network imports) — all of ``src/repro/``: sockets and HTTP
-  go through :mod:`repro.serve` (the versioned, content-validating
-  protocol layer) so nothing else can grow an ad-hoc wire format;
-  ``src/repro/serve/`` itself is the sanctioned wrapper and is exempt.
+* ``R006`` (network imports) — all of ``src/repro/``, no exemptions:
+  the toolbox is local-only, and results cross machines only as files
+  (``repro cache export/import``), never over a socket.
 
 ``tools/lint_repro.py`` is the CLI wrapper; this module stays importable
 and unit-testable without a git checkout.
@@ -129,8 +128,8 @@ no socket.  Submodules count via their root (``http.client``,
 NETWORK_SCOPE = ("src/repro/",)
 """Path prefixes where ``R006`` (network imports) applies."""
 
-NETWORK_ALLOWLIST = ("src/repro/serve/",)
-"""Paths exempt from ``R006``: the verdict service wraps the network."""
+NETWORK_ALLOWLIST: tuple[str, ...] = ()
+"""Paths exempt from ``R006``: none — no package may import the network."""
 
 ENGINE_PATHS = ("src/repro/engine/", "src/repro/core/kernel.py")
 """Paths whose diffs require an ``ENGINE_VERSION`` bump (``R004``)."""
@@ -333,7 +332,7 @@ def _network_root(module: str) -> str | None:
 
 
 def _network_findings(tree: ast.AST, relpath: str) -> list[Diagnostic]:
-    """R006: importing socket/HTTP machinery outside the serve package."""
+    """R006: importing socket/HTTP machinery anywhere in the package."""
     findings: list[Diagnostic] = []
     for node in ast.walk(tree):
         modules: list[str] = []
@@ -349,10 +348,9 @@ def _network_findings(tree: ast.AST, relpath: str) -> list[Diagnostic]:
                 make(
                     "R006",
                     relpath,
-                    f"importing {module!r} opens a wire format outside "
-                    "the sanctioned one; network code belongs in "
-                    "src/repro/serve/, which versions its protocol and "
-                    "validates content (see docs/serving.md)",
+                    f"importing {module!r} adds network machinery to a "
+                    "local-only toolbox; ship results as files "
+                    "(repro cache export/import) instead",
                     source=relpath,
                     line=node.lineno,
                 )

@@ -139,6 +139,20 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _INT_RE = re.compile(r"(0[xX][0-9a-fA-F]+|\d+)\Z")
 
 
+def _int_literal(text: str, line: int) -> int:
+    """The value of a literal :data:`_INT_RE` matched, or a located error.
+
+    ``_INT_RE`` admits decimal literals with leading zeros (``01``) that
+    ``int(text, 0)`` rejects as ambiguous octal.
+    """
+    try:
+        return int(text, 0)
+    except ValueError:
+        raise LitmusParseError(
+            f"bad integer literal {text!r} (leading zeros are not allowed)", line
+        ) from None
+
+
 def _parse_expr(tokens: _Tokens, locations: dict[str, int], min_prec: int = 1) -> Expr:
     """Precedence-climbing expression parser (mirrors the printer)."""
     expr = _parse_unary(tokens, locations)
@@ -169,7 +183,7 @@ def _parse_atom(tokens: _Tokens, locations: dict[str, int]) -> Expr:
         tokens.expect(")")
         return expr
     if _INT_RE.match(token):
-        return Const(int(token, 0))
+        return Const(_int_literal(token, tokens.line))
     if _NAME_RE.match(token):
         if token in locations:
             return Const(locations[token])
@@ -377,7 +391,7 @@ class _Parser:
                     raise LitmusParseError(
                         f"bad address {addr_text!r} for location {name!r}", lineno
                     )
-                address = int(addr_text, 0)
+                address = _int_literal(addr_text, lineno)
             else:
                 address = LOCATION_STRIDE * (len(locations) + 1)
             locations[name] = address
@@ -395,7 +409,7 @@ class _Parser:
                     )
                 initial_memory[locations[name]] = locations[target]
             elif _INT_RE.match(spec):
-                initial_memory[locations[name]] = int(spec, 0)
+                initial_memory[locations[name]] = _int_literal(spec, entry_line)
             else:
                 raise LitmusParseError(
                     f"bad initial value {spec!r} for location {name!r}", entry_line
@@ -559,7 +573,7 @@ class _Parser:
                 )
             return locations[target]
         if _INT_RE.match(text):
-            return int(text, 0)
+            return _int_literal(text, lineno)
         raise LitmusParseError(f"bad condition value {text!r}", lineno)
 
 

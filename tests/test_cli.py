@@ -1,5 +1,10 @@
 """Tests for the command-line interface."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
@@ -239,3 +244,53 @@ class TestGenImportExport:
         two.write_text(text)
         assert main(["import", str(one), str(two)]) == 2
         assert "collision" in capsys.readouterr().err
+
+
+class TestCacheTransferCLI:
+    def test_export_import_round_trip_serves_matrix(self, capsys, tmp_path):
+        source, target = str(tmp_path / "src"), str(tmp_path / "dst")
+        tarball = str(tmp_path / "warm.tar.gz")
+        assert main(["matrix", "--suite", "paper", "--cache", source]) == 0
+        filled = capsys.readouterr().out
+        assert main(["cache", "export", source, tarball]) == 0
+        exported = capsys.readouterr().out
+        assert exported.startswith("exported ")
+        assert main(["cache", "import", target, tarball]) == 0
+        imported = capsys.readouterr().out
+        count = exported.split()[1]
+        assert imported.startswith(f"imported {count} entries into {target}")
+        assert main(["matrix", "--suite", "paper", "--cache", target]) == 0
+        assert capsys.readouterr().out == filled
+
+    def test_engine_version_mismatch_exits_2(self, capsys, tmp_path, monkeypatch):
+        import repro.engine.cache as cache_module
+
+        source = str(tmp_path / "src")
+        tarball = str(tmp_path / "stale.tar.gz")
+        assert main(["check", "mp", "-m", "sc", "--cache", source]) == 0
+        monkeypatch.setattr(cache_module, "ENGINE_VERSION", 999)
+        assert main(["cache", "export", source, tarball]) == 0
+        monkeypatch.undo()
+        capsys.readouterr()
+        assert main(["cache", "import", str(tmp_path / "dst"), tarball]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "engine version 999" in err
+
+
+def test_matrix_process_imports_no_http_machinery():
+    """The CLI is local-only: a matrix run never loads the HTTP stack."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "repro",
+         "matrix", "--suite", "paper"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    imported = {
+        line.rsplit("|", 1)[-1].strip()
+        for line in result.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert "all verdicts agree with the paper" in result.stdout
+    assert "repro.cli" in imported
+    assert not imported & {"http.client", "http.server"}

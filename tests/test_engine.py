@@ -5,9 +5,15 @@ exactly the serial results, the on-disk cache round-trips verdicts
 byte-identically, and multi-process fan-out changes nothing but
 wall-time.  Worker error reporting (DomainOverflowError with the
 offending test's name) is exercised in both serial and pooled modes.
+The cache's concurrency contract (multi-process writers, crash-orphan
+guards) and its export/import refusals are pinned here too.
 """
 
+import io
 import json
+import multiprocessing
+import os
+import tarfile
 
 import pytest
 
@@ -18,12 +24,14 @@ from repro.core.axiomatic import (
     is_allowed,
 )
 from repro.engine import (
+    CacheTransferError,
     OutcomeSpec,
     ResultCache,
     VerdictSpec,
     cell_cache_key,
     evaluate_cells,
 )
+from repro.engine.cells import ENGINE_VERSION
 from repro.equivalence.checker import check_suite
 from repro.eval.litmus_matrix import litmus_matrix, render_matrix
 from repro.eval.strength import render_strength, strength_matrix
@@ -268,3 +276,152 @@ class TestEngineVersion:
         cache.store(cell, frozenset())
         monkeypatch.undo()
         assert cache.load(cell) is None
+
+def _verdict_cells(*names, models=("sc", "gam")):
+    return [
+        VerdictSpec(get_test(name), model) for name in names for model in models
+    ]
+
+
+def _hammer_store(root, names, rounds):
+    """One writer process: store/load the same keys over and over."""
+    cache = ResultCache(root)
+    cells = [
+        VerdictSpec(get_test(name), model)
+        for name in names
+        for model in ("sc", "gam")
+    ]
+    expected = {cell_cache_key(c): evaluate_cells([c])[0] for c in cells}
+    for _ in range(rounds):
+        for cell in cells:
+            cache.store(cell, expected[cell_cache_key(cell)])
+            loaded = cache.load(cell)
+            if loaded is not None and loaded != expected[cell_cache_key(cell)]:
+                return f"torn read for {cell_cache_key(cell)}"
+    return "ok"
+
+
+class TestConcurrentStore:
+    def test_two_processes_hammer_one_store(self, tmp_path):
+        """Satellite regression: concurrent multi-process writers are safe."""
+        root = str(tmp_path / "store")
+        ctx = multiprocessing.get_context("spawn")
+        with ctx.Pool(2) as pool:
+            outcomes = pool.starmap(
+                _hammer_store, [(root, ("mp", "dekker"), 25), (root, ("mp", "dekker"), 25)]
+            )
+        assert outcomes == ["ok", "ok"]
+        stats = ResultCache(root).stats()
+        assert stats.entries == 4
+        assert stats.tmp_files == 0  # no crash orphans from the race
+
+    def test_failed_spool_leaves_no_orphan(self, tmp_path, monkeypatch):
+        cache = ResultCache(tmp_path)
+        cell = VerdictSpec(get_test("mp"), "sc")
+
+        def _explode(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", _explode)
+        with pytest.raises(OSError, match="disk full"):
+            cache.store(cell, True)
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_store_survives_directory_deletion(self, tmp_path):
+        root = tmp_path / "store"
+        cache = ResultCache(root)
+        cell = VerdictSpec(get_test("mp"), "sc")
+        cache.store(cell, True)
+        for entry in root.iterdir():
+            entry.unlink()
+        root.rmdir()  # a concurrent purge removed the whole directory
+        cache.store(cell, True)
+        assert cache.load(cell) is True
+
+
+class TestCacheTransfer:
+    def _warm(self, root):
+        cells = _verdict_cells("mp", "dekker")
+        evaluate_cells(cells, cache_dir=str(root))
+        return cells
+
+    def test_export_import_round_trip(self, tmp_path):
+        source, target = tmp_path / "src", tmp_path / "dst"
+        cells = self._warm(source)
+        tarball = tmp_path / "store.tar.gz"
+        assert ResultCache(source).export_tarball(tarball) == len(cells)
+        imported = ResultCache(target)
+        assert imported.import_tarball(tarball) == (len(cells), 0)
+        for cell in cells:
+            assert imported.load(cell) == evaluate_cells([cell])[0]
+        # a second import is a no-op, not a conflict
+        assert imported.import_tarball(tarball) == (0, len(cells))
+
+    def test_export_is_deterministic(self, tmp_path):
+        # gzip headers carry the archive's own name/mtime, so compare the
+        # *tar contents*: member order, metadata and payload bytes.
+        self._warm(tmp_path / "store")
+        cache = ResultCache(tmp_path / "store")
+        cache.export_tarball(tmp_path / "a.tar.gz")
+        cache.export_tarball(tmp_path / "b.tar.gz")
+
+        def _members(path):
+            with tarfile.open(path, "r:gz") as tar:
+                return [
+                    (m.name, m.mtime, m.mode, tar.extractfile(m).read())
+                    for m in tar.getmembers()
+                ]
+
+        first = _members(tmp_path / "a.tar.gz")
+        assert first == _members(tmp_path / "b.tar.gz")
+        assert all(mtime == 0 for _, mtime, _, _ in first)
+
+    def test_engine_version_mismatch_is_refused(self, tmp_path, monkeypatch):
+        self._warm(tmp_path / "store")
+        tarball = tmp_path / "store.tar.gz"
+        import repro.engine.cache as cache_module
+
+        monkeypatch.setattr(cache_module, "ENGINE_VERSION", 999)
+        ResultCache(tmp_path / "store").export_tarball(tarball)
+        monkeypatch.undo()
+        with pytest.raises(CacheTransferError, match="engine version 999"):
+            ResultCache(tmp_path / "dst").import_tarball(tarball)
+
+    def _craft(self, path, manifest, blobs):
+        with tarfile.open(path, "w:gz") as tar:
+            for name, data in [("manifest.json", json.dumps(manifest).encode())] + blobs:
+                info = tarfile.TarInfo(name)
+                info.size = len(data)
+                tar.addfile(info, io.BytesIO(data))
+
+    def test_corrupt_and_hostile_archives_are_refused(self, tmp_path):
+        target = ResultCache(tmp_path / "dst")
+        base = {"format": 1, "engine_version": ENGINE_VERSION}
+        bad_digest = tmp_path / "bad-digest.tar.gz"
+        self._craft(
+            bad_digest,
+            {**base, "entries": {"ab12.json": "0" * 64}},
+            [("ab12.json", b"{}")],
+        )
+        with pytest.raises(CacheTransferError, match="digest mismatch"):
+            target.import_tarball(bad_digest)
+
+        traversal = tmp_path / "traversal.tar.gz"
+        self._craft(traversal, {**base, "entries": {"../evil.json": "0" * 64}}, [])
+        with pytest.raises(CacheTransferError, match="not a cache key"):
+            target.import_tarball(traversal)
+
+        missing = tmp_path / "missing-entry.tar.gz"
+        self._craft(missing, {**base, "entries": {"ab12.json": "0" * 64}}, [])
+        with pytest.raises(CacheTransferError, match="missing from archive"):
+            target.import_tarball(missing)
+
+        no_manifest = tmp_path / "no-manifest.tar.gz"
+        with tarfile.open(no_manifest, "w:gz") as tar:
+            info = tarfile.TarInfo("ab12.json")
+            info.size = 2
+            tar.addfile(info, io.BytesIO(b"{}"))
+        with pytest.raises(CacheTransferError, match="not a cache export"):
+            target.import_tarball(no_manifest)
+
+        assert target.stats().entries == 0  # nothing was half-imported

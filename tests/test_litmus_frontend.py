@@ -164,6 +164,23 @@ class TestParserErrors:
         with pytest.raises(LitmusParseError, match="unknown fence 'FenceXY'"):
             self._parse("GAM t\n{ a; }\n P0 ;\n FenceXY ;\n")
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("GAM t\n{ a; }\n P0 ;\n St [a] 01 ;\n", 4),
+            ("GAM t\n{ a=01; }\n P0 ;\n Nop ;\n", 2),
+            ("GAM t\n{ a@01; }\n P0 ;\n Nop ;\n", 2),
+            ("GAM t\n{ a; }\n P0 ;\n r1 = Ld [a] ;\nexists (0:r1=01)\n", 5),
+        ],
+        ids=["operand", "init-value", "address", "condition-value"],
+    )
+    def test_leading_zero_literal_is_located(self, text, line):
+        # `01` matches the integer token but is not a valid base-0 int.
+        with pytest.raises(
+            LitmusParseError, match=rf"^line {line}: bad integer literal '01'"
+        ):
+            self._parse(text)
+
     def test_trailing_tokens(self):
         with pytest.raises(LitmusParseError, match="trailing input"):
             self._parse("GAM t\n{ a; }\n P0 ;\n St [a] 1 2 ;\n")
