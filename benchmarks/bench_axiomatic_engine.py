@@ -5,18 +5,19 @@ enumeration on small tests, verdicts on the paper's hardest figures (RSW /
 RNSW, six-load programs with dependency chains), and a four-processor
 test (IRIW).
 
-The default-path benchmarks ride whatever engine dispatch picks (the
-frontier kernel for GAM); the ``engine="orders"`` variants pin the exact
-order enumerator so the kernel's advantage stays measured run over run.
-``tools/run_benches.py`` runs this file twice — once with
-``REPRO_ENUM_KERNEL=0`` and once with the default — and records the
-before/after medians in ``BENCH_axiomatic.json`` at the repo root.
+The default-path benchmarks ride the frontier kernel; the
+``*_orders_engine`` variants read the same verdicts off the exact order
+enumerator behind ``enumerate_executions`` so the kernel's advantage
+stays measured run over run.  ``tools/run_benches.py`` runs this file
+and records the medians, and the kernel-vs-orders speedups, in
+``BENCH_axiomatic.json`` at the repo root.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from benchmarks.conftest import orders_allowed
 from repro.core.axiomatic import enumerate_outcomes, is_allowed, value_domains
 from repro.litmus.registry import get_test
 from repro.models.registry import get_model
@@ -50,7 +51,7 @@ def test_verdict_hard_figures_orders_engine(benchmark, test_name):
     """The exact order enumerator on the same figures (kernel comparison)."""
     test = get_test(test_name)
     gam = get_model("gam")
-    allowed = benchmark(lambda: is_allowed(test, gam, engine="orders"))
+    allowed = benchmark(lambda: orders_allowed(test, gam))
     assert allowed is False
 
 
@@ -63,7 +64,7 @@ def test_outcome_set_iriw(benchmark):
 
 
 def test_arm_dynamic_clause_overhead(benchmark):
-    """ARM verdicts re-close ppo per candidate execution (dynamic clause)."""
+    """ARM verdicts: the kernel's store-identity state and same-store rule."""
     test = get_test("rsw")
     arm = get_model("arm")
     allowed = benchmark(lambda: is_allowed(test, arm))

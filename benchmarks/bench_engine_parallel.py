@@ -14,8 +14,8 @@ of them, asserts the tentpole's >= 2x speedup, and writes the wall-times
 to ``results/BENCH_engine_parallel.json`` so the perf trajectory of the
 matrix workload is tracked run over run.
 
-The seed path is pinned to ``engine="orders"``: the seed predates the
-frontier kernel (PR 4), so the historical baseline is per-cell
+The seed path reads every verdict off ``enumerate_executions``: the seed
+predates the frontier kernel, so the historical baseline is per-cell
 recomputation *through the exact order enumerator*.  The engine rows ride
 whatever the current default engine is, which is exactly the trajectory
 this file exists to record.
@@ -28,8 +28,7 @@ import time
 
 import pytest
 
-from benchmarks.conftest import write_result
-from repro.core.axiomatic import is_allowed
+from benchmarks.conftest import orders_allowed, write_result
 from repro.eval.litmus_matrix import (
     VerdictCell,
     conformance_failures,
@@ -53,7 +52,7 @@ def _seed_serial_matrix(tests, model_names=_ZOO):
                 VerdictCell(
                     test_name=test.name,
                     model_name=name,
-                    allowed=is_allowed(test, model, engine="orders"),
+                    allowed=orders_allowed(test, model),
                     expected=test.expect.get(name),
                 )
             )

@@ -5,7 +5,7 @@
   preserved program order).
 * :mod:`repro.core.axiomatic` — the axiomatic checking engine.
 * :mod:`repro.core.kernel` — the frontier-memoized bitmask enumeration
-  kernel (the engine's fast path for models without dynamic clauses).
+  kernel, which answers every verdict and outcome-set query.
 * :mod:`repro.core.operational` — the Figure 17 abstract machine with
   exhaustive exploration.
 * :mod:`repro.core.construction` — Section III's construction procedure as
@@ -25,7 +25,7 @@ from .axiomatic import (
 from .construction import CONSTRAINTS, assemble, derivation_chain
 from .dependencies import adep_edges, ddep_edges
 from .events import EventId, Execution, MemEvent
-from .kernel import FrontierKernel, kernel_supports
+from .kernel import FrontierKernel
 from .perloc_sc import execution_is_per_location_sc, per_location_orders
 from .ppo import (
     AddrSt,
@@ -54,7 +54,6 @@ __all__ = [
     "is_allowed",
     "value_domain",
     "FrontierKernel",
-    "kernel_supports",
     "assemble",
     "derivation_chain",
     "CONSTRAINTS",

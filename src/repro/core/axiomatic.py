@@ -22,23 +22,21 @@ repository because every static clause edge goes forward in program order
 same-address stores by program order (so load values are determined as soon
 as the load is placed — see :func:`_place_load_value`).
 
-Two enumeration engines serve step 2.  Models with no execution-dependent
-clauses and no coherence side condition take the **frontier kernel**
-(:mod:`repro.core.kernel`): a bitmask DP over ``(placed events, last store
-per address)`` abstract states that answers outcome-set and verdict
-queries without materializing any order.  ARM, ``plsc`` and every
-:func:`enumerate_executions` consumer take the exact order enumerator
-below.  Both paths share all candidate preparation through
-:class:`CandidatePrefix`, and the parity suite holds them byte-identical
-on every registered test.
+Verdicts and outcome sets (:func:`is_allowed`, :func:`enumerate_outcomes`)
+never materialize an order: the **frontier kernel** (:mod:`repro.core.kernel`)
+answers them for every model, ARM and ``plsc`` included, with a bitmask DP
+over abstract placement states that decides the post-checks of step 3
+while the order is built.  :func:`enumerate_executions` keeps the order
+enumerator below, because witnesses need materialized ``mo``/``rf``; it is
+also the reference the parity suite holds the kernel to.  Both share all
+candidate preparation through :class:`CandidatePrefix`.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
-import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from ..isa.expr import Const, evaluate, registers_read
@@ -54,7 +52,6 @@ from ..isa.instructions import (
 )
 from ..isa.program import ExecutedInstr, Program, ProgramError, ProgramRun
 from ..litmus.test import LitmusTest, Outcome
-from ..obs import current as _obs_current
 from ..obs import incr as _obs_incr
 from .events import (
     EventId,
@@ -64,7 +61,7 @@ from .events import (
     init_events,
     store_part,
 )
-from .kernel import FrontierKernel, kernel_supports
+from .kernel import FrontierKernel
 from .ppo import Clause, DynamicClause, PpoContext, compute_ppo, project_to_memory
 
 __all__ = [
@@ -77,7 +74,6 @@ __all__ = [
     "enumerate_executions",
     "enumerate_outcomes",
     "is_allowed",
-    "kernel_supports",
     "project_outcome",
 ]
 
@@ -391,7 +387,7 @@ class _Candidate:
     from the test and the chosen program runs alone, which is what lets a
     :class:`CandidatePrefix` share one ``_Candidate`` base across a whole
     model zoo (``_prepare_base`` builds it with ``mem_edges`` empty and
-    ``_with_model_edges`` specializes it per clause set).
+    :meth:`CandidatePrefix.candidate` specializes it per clause set).
     """
 
     runs: tuple[ProgramRun, ...]
@@ -421,7 +417,7 @@ def _prepare_base(
     Returns ``None`` when some load's assigned value cannot come from any
     store to its address (nor from the initial memory) — a cheap necessary
     condition for the LoadValue axiom under *every* model.  The returned
-    candidate has an empty ``mem_edges``; see :func:`_with_model_edges`.
+    candidate has an empty ``mem_edges``; see :meth:`CandidatePrefix.candidate`.
     """
     events = build_events(runs)
     inits = init_events(events, test.initial_memory)
@@ -488,23 +484,6 @@ def _static_memory_edges(
         for a, b in project_to_memory(ctx, ppo):
             mem_edges.add((base.src_eid(proc, a), (proc, b)))
     return frozenset(mem_edges)
-
-
-def _with_model_edges(base: _Candidate, model: MemoryModel) -> _Candidate:
-    """Specialize a model-independent base with the model's static-ppo DAG."""
-    return replace(base, mem_edges=_static_memory_edges(base, model.clauses))
-
-
-def _prepare_candidate(
-    test: LitmusTest,
-    runs: tuple[ProgramRun, ...],
-    model: MemoryModel,
-) -> Optional[_Candidate]:
-    """Build events, contexts and the static-ppo DAG; prune impossible values."""
-    base = _prepare_base(test, runs)
-    if base is None:
-        return None
-    return _with_model_edges(base, model)
 
 
 def _orders_with_load_values(
@@ -643,17 +622,16 @@ def _dynamic_clauses_hold(
     model: MemoryModel,
     mo: tuple[EventId, ...],
     rf: Mapping[EventId, EventId],
-    memo: Optional[dict] = None,
-    memo_key: object = None,
+    memo: dict,
 ) -> bool:
     """Post-check execution-dependent ppo clauses against a completed order.
 
     Recomputes the full (static + dynamic) transitive ppo per processor and
     requires every memory-to-memory edge to agree with ``mo``.  The dynamic
     ppo depends on the execution only through each processor's local
-    read-from map, so the projected edges are memoized under
-    ``(memo_key, proc, rf_local)`` when a ``memo`` dict is supplied — many
-    memory orders share the same read-from and skip the ppo re-closure.
+    read-from map, so the projected edges are memoized in ``memo`` (one
+    dict per candidate) under ``(proc, rf_local)`` — many memory orders
+    share the same read-from and skip the ppo re-closure.
     """
     if not model.dynamic_clauses:
         return True
@@ -664,15 +642,10 @@ def _dynamic_clauses_hold(
             for (p, index) in rf
             if p == proc
         }
-        if memo is None:
-            edges = _dynamic_memory_edges(candidate, model, proc, rf_local)
-        else:
-            key = (memo_key, proc, frozenset(rf_local.items()))
-            edges = memo.get(key)
-            if edges is None:
-                edges = memo[key] = _dynamic_memory_edges(
-                    candidate, model, proc, rf_local
-                )
+        key = (proc, frozenset(rf_local.items()))
+        edges = memo.get(key)
+        if edges is None:
+            edges = memo[key] = _dynamic_memory_edges(candidate, model, proc, rf_local)
         for a, b in edges:
             if position[a] >= position[b]:
                 return False
@@ -692,44 +665,6 @@ def _final_memory(
     return final
 
 
-class _MemoizedOrders:
-    """A replayable view over one ``_orders_with_load_values`` generator.
-
-    Multiple consumers (models sharing the same static-ppo DAG and
-    load-value axiom) iterate independently; items already produced are
-    served from the cache, and the underlying generator is advanced only
-    when some consumer runs past it.  A short-circuiting consumer (e.g.
-    :func:`is_allowed`) therefore pays only for the prefix it needs, while
-    a later full enumeration resumes where it left off.
-    """
-
-    __slots__ = ("_gen", "_cache", "_exhausted")
-
-    def __init__(self, gen: Iterator) -> None:
-        self._gen = gen
-        self._cache: list = []
-        self._exhausted = False
-
-    def __iter__(self) -> Iterator:
-        index = 0
-        while True:
-            if index < len(self._cache):
-                yield self._cache[index]
-                index += 1
-                continue
-            if self._exhausted:
-                return
-            try:
-                item = next(self._gen)
-            except StopIteration:
-                self._exhausted = True
-                return
-            self._cache.append(item)
-            # Re-check the cache rather than yielding ``item`` directly: a
-            # concurrently iterating consumer may have advanced the
-            # generator while this one was suspended at ``yield``.
-
-
 class CandidatePrefix:
     """The model-independent prefix of :func:`enumerate_executions`.
 
@@ -744,13 +679,12 @@ class CandidatePrefix:
 
     1. ``base(i)`` — the model-independent candidate (events, dependency
        contexts, forwarding metadata), built lazily and shared by all.
-    2. ``edges_for(i, model)`` — the static-ppo memory DAG, keyed by the
+    2. ``candidate(i, model)`` — the static-ppo memory DAG, keyed by the
        model's *clause names*; models with identical clause sets (e.g. ARM
        vs GAM0, PLSC vs Alpha) share one evaluation.  Clause names fully
        determine clause behaviour in this repository's vocabulary.
-    3. ``orders_for(...)`` — the ``(mo, rf)`` enumeration, keyed by the
-       resulting DAG and the load-value axiom, wrapped in a
-       :class:`_MemoizedOrders` so partial consumption is never wasted.
+    3. ``kernel_for(i, candidate, model)`` — the solved frontier DP, keyed
+       by that DAG and the rest of the model (see :meth:`kernel_for`).
 
     ``extra_values`` must cover whatever a later caller would have passed
     to :func:`enumerate_executions`; asked-outcome values are always
@@ -768,9 +702,7 @@ class CandidatePrefix:
         )
         self._bases: dict[int, Optional[_Candidate]] = {}
         self._edges: dict[tuple[int, tuple[str, ...]], frozenset] = {}
-        self._orders: dict[tuple[int, frozenset, str], _MemoizedOrders] = {}
-        self._kernels: dict[tuple[int, frozenset, str], FrontierKernel] = {}
-        self._dynamic_memo: dict = {}
+        self._kernels: dict[tuple, FrontierKernel] = {}
 
     def covers(self, extra_values: Iterable[int]) -> bool:
         """Would this prefix's domains be unchanged under ``extra_values``?
@@ -799,35 +731,27 @@ class CandidatePrefix:
             edges = self._edges[key] = _static_memory_edges(base, model.clauses)
         return replace(base, mem_edges=edges)
 
-    def orders_for(
-        self, combo_index: int, candidate: _Candidate, load_value_mode: str
-    ) -> _MemoizedOrders:
-        """The memoized ``(mo, rf)`` stream for one DAG + load-value axiom."""
-        key = (combo_index, candidate.mem_edges, load_value_mode)
-        orders = self._orders.get(key)
-        if orders is None:
-            orders = self._orders[key] = _MemoizedOrders(
-                _orders_with_load_values(candidate, load_value_mode)
-            )
-        return orders
-
     def kernel_for(
-        self, combo_index: int, candidate: _Candidate, load_value_mode: str
+        self, combo_index: int, candidate: _Candidate, model: MemoryModel
     ) -> FrontierKernel:
-        """The frontier kernel for one DAG + load-value axiom (memoized).
+        """The frontier kernel for ``model`` over one candidate (memoized).
 
-        Keyed exactly like :meth:`orders_for`, so models whose clause sets
-        induce the same memory DAG share one solved DP.
+        Keyed by the static memory DAG, the load-value axiom, the dynamic
+        clause names and the coherence flag, so models that agree on all
+        four share one solved DP.  The DAG alone is not enough: ARM shares
+        GAM0's, and ``plsc`` shares Alpha's.
         """
-        key = (combo_index, candidate.mem_edges, load_value_mode)
+        key = (
+            combo_index,
+            candidate.mem_edges,
+            model.load_value,
+            tuple(c.name for c in model.dynamic_clauses),
+            model.requires_coherence,
+        )
         kernel = self._kernels.get(key)
         if kernel is None:
-            kernel = self._kernels[key] = FrontierKernel(candidate, load_value_mode)
+            kernel = self._kernels[key] = FrontierKernel(candidate, model)
         return kernel
-
-    def dynamic_memo(self) -> dict:
-        """Shared memo for :func:`_dynamic_clauses_hold` projections."""
-        return self._dynamic_memo
 
 
 def enumerate_executions(
@@ -850,17 +774,10 @@ def enumerate_executions(
         candidate = prefix.candidate(combo_index, model)
         if candidate is None:
             continue
-        dynamic_key = (combo_index, model.clause_names())
         final_regs = _final_regs_of(candidate.runs)
-        for mo, rf in prefix.orders_for(combo_index, candidate, model.load_value):
-            if not _dynamic_clauses_hold(
-                candidate,
-                model,
-                mo,
-                rf,
-                memo=prefix.dynamic_memo(),
-                memo_key=dynamic_key,
-            ):
+        dynamic_memo: dict = {}
+        for mo, rf in _orders_with_load_values(candidate, model.load_value):
+            if not _dynamic_clauses_hold(candidate, model, mo, rf, dynamic_memo):
                 continue
             execution = Execution(
                 runs=candidate.runs,
@@ -904,49 +821,6 @@ def project_outcome(
     return Outcome(regs=regs, mem=mem)
 
 
-def _kernel_selected(model: MemoryModel, engine: str) -> bool:
-    """Resolve the ``engine`` argument: should the frontier kernel serve?
-
-    ``"auto"`` picks the kernel whenever it is exact for the model (no
-    dynamic clauses, no coherence side condition — see
-    :func:`repro.core.kernel.kernel_supports`) unless the environment sets
-    ``REPRO_ENUM_KERNEL=0``; ``"kernel"`` forces it (raising for models it
-    cannot serve); ``"orders"`` forces the exact order enumerator.
-    """
-    if engine == "orders":
-        return False
-    if engine == "kernel":
-        if not kernel_supports(model):
-            raise ValueError(
-                f"model {model.name!r} needs the exact order enumerator "
-                "(execution-dependent clauses or a coherence side condition)"
-            )
-        return True
-    if engine != "auto":
-        raise ValueError(f"unknown engine {engine!r}; expected auto|kernel|orders")
-    if os.environ.get("REPRO_ENUM_KERNEL", "").strip() == "0":
-        return False
-    return kernel_supports(model)
-
-
-def _count_dispatch(model: MemoryModel, kernel_selected: bool) -> None:
-    """Record which enumeration engine answers a query (telemetry only).
-
-    ``kernel`` when the frontier DP serves; ``orders`` when the kernel
-    could serve but was forced off (``engine="orders"`` or
-    ``REPRO_ENUM_KERNEL=0``); ``backtracker`` when the model needs the
-    exact enumerator (dynamic clauses / coherence side condition).
-    """
-    if not _obs_current().active:
-        return
-    if kernel_selected:
-        _obs_incr("engine.dispatch.kernel")
-    elif kernel_supports(model):
-        _obs_incr("engine.dispatch.orders")
-    else:
-        _obs_incr("engine.dispatch.backtracker")
-
-
 def _final_regs_of(runs: Sequence[ProgramRun]) -> dict[tuple[int, str], int]:
     """The fixed final register file of one run combination."""
     return {
@@ -964,17 +838,29 @@ def _regs_feasible(runs: Sequence[ProgramRun], outcome: Outcome) -> bool:
     return True
 
 
-def _kernel_outcomes(
-    prefix: CandidatePrefix, model: MemoryModel, project: str
+def enumerate_outcomes(
+    test: LitmusTest,
+    model: MemoryModel,
+    extra_values: Iterable[int] = (),
+    project: str = "observed",
+    prefix: Optional[CandidatePrefix] = None,
 ) -> frozenset[Outcome]:
-    """Outcome enumeration through the frontier kernel (fast path)."""
-    test = prefix.test
+    """The set of allowed outcomes, projected per :func:`project_outcome`.
+
+    Answered by the frontier kernel; the parity suite holds the result
+    identical to projecting every :func:`enumerate_executions` execution.
+    """
+    if project not in ("observed", "full"):
+        raise ValueError(f"unknown projection {project!r}")
+    _obs_incr("engine.dispatch.kernel")
+    if prefix is None or not prefix.covers(extra_values):
+        prefix = CandidatePrefix(test, extra_values)
     outcomes: set[Outcome] = set()
     for combo_index in range(len(prefix.combos)):
         candidate = prefix.candidate(combo_index, model)
         if candidate is None:
             continue
-        kernel = prefix.kernel_for(combo_index, candidate, model.load_value)
+        kernel = prefix.kernel_for(combo_index, candidate, model)
         finals = kernel.final_memories()
         if not finals:
             continue
@@ -986,17 +872,32 @@ def _kernel_outcomes(
     return frozenset(outcomes)
 
 
-def _kernel_is_allowed(
-    prefix: CandidatePrefix, model: MemoryModel, outcome: Outcome
+def is_allowed(
+    test: LitmusTest,
+    model: MemoryModel,
+    outcome: Optional[Outcome] = None,
+    extra_values: Iterable[int] = (),
+    prefix: Optional[CandidatePrefix] = None,
 ) -> bool:
-    """Verdict through the frontier kernel, with outcome-directed pruning.
+    """Does the model allow ``outcome`` (default: the test's asked outcome)?
 
-    Within one run combination the final registers are fixed before any
-    memory order is chosen, so combinations whose registers cannot match
+    Answered by the frontier kernel, with outcome-directed pruning: within
+    one run combination the final registers are fixed before any memory
+    order is chosen, so combinations whose registers cannot match
     ``outcome`` are skipped before candidate events, ppo DAGs or the DP are
     ever built — the dominant saving for *forbidden* verdicts, which must
     otherwise exhaust every combination.
     """
+    if outcome is None:
+        outcome = test.asked
+    if outcome is None:
+        raise ValueError(f"test {test.name!r} has no asked outcome")
+    extra = set(extra_values)
+    extra.update(v for _, _, v in outcome.regs)
+    extra.update(v for _, v in outcome.mem)
+    _obs_incr("engine.dispatch.kernel")
+    if prefix is None or not prefix.covers(extra):
+        prefix = CandidatePrefix(test, extra)
     for combo_index, runs in enumerate(prefix.combos):
         if not _regs_feasible(runs, outcome):
             _obs_incr("kernel.prune.regs_infeasible")
@@ -1004,7 +905,7 @@ def _kernel_is_allowed(
         candidate = prefix.candidate(combo_index, model)
         if candidate is None:
             continue
-        kernel = prefix.kernel_for(combo_index, candidate, model.load_value)
+        kernel = prefix.kernel_for(combo_index, candidate, model)
         finals = kernel.final_memories()
         if not outcome.mem:
             if finals:
@@ -1014,68 +915,4 @@ def _kernel_is_allowed(
             memory = kernel.as_memory(values)
             if all(memory.get(addr, 0) == value for addr, value in outcome.mem):
                 return True
-    return False
-
-
-def enumerate_outcomes(
-    test: LitmusTest,
-    model: MemoryModel,
-    extra_values: Iterable[int] = (),
-    project: str = "observed",
-    prefix: Optional[CandidatePrefix] = None,
-    engine: str = "auto",
-) -> frozenset[Outcome]:
-    """The set of allowed outcomes, projected per :func:`project_outcome`.
-
-    Dispatches to the frontier kernel when it is exact for ``model`` (see
-    :func:`_kernel_selected`); ``engine="orders"`` forces the exact order
-    enumerator, ``engine="kernel"`` forces the kernel.  Both engines return
-    identical sets — the parity suite enforces it.
-    """
-    if project not in ("observed", "full"):
-        raise ValueError(f"unknown projection {project!r}")
-    kernel_selected = _kernel_selected(model, engine)
-    _count_dispatch(model, kernel_selected)
-    if kernel_selected:
-        if prefix is None or not prefix.covers(extra_values):
-            prefix = CandidatePrefix(test, extra_values)
-        return _kernel_outcomes(prefix, model, project)
-    outcomes: set[Outcome] = set()
-    for execution in enumerate_executions(test, model, extra_values, prefix=prefix):
-        outcomes.add(
-            project_outcome(test, execution.final_regs, execution.final_mem, project)
-        )
-    return frozenset(outcomes)
-
-
-def is_allowed(
-    test: LitmusTest,
-    model: MemoryModel,
-    outcome: Optional[Outcome] = None,
-    extra_values: Iterable[int] = (),
-    prefix: Optional[CandidatePrefix] = None,
-    engine: str = "auto",
-) -> bool:
-    """Does the model allow ``outcome`` (default: the test's asked outcome)?
-
-    Dispatches like :func:`enumerate_outcomes`; the kernel path additionally
-    prunes whole run combinations whose fixed final registers cannot match
-    the outcome before any enumeration work happens.
-    """
-    if outcome is None:
-        outcome = test.asked
-    if outcome is None:
-        raise ValueError(f"test {test.name!r} has no asked outcome")
-    extra = set(extra_values)
-    extra.update(v for _, _, v in outcome.regs)
-    extra.update(v for _, v in outcome.mem)
-    kernel_selected = _kernel_selected(model, engine)
-    _count_dispatch(model, kernel_selected)
-    if kernel_selected:
-        if prefix is None or not prefix.covers(extra):
-            prefix = CandidatePrefix(test, extra)
-        return _kernel_is_allowed(prefix, model, outcome)
-    for execution in enumerate_executions(test, model, extra, prefix=prefix):
-        if outcome.matches(execution.final_regs, execution.final_mem):
-            return True
     return False

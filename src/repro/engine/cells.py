@@ -10,7 +10,7 @@ A *cell* is one entry of a test × model grid evaluated under an *oracle*:
 The oracle selects *which definition* answers the cell:
 
 * ``"axiomatic"`` (the default) resolves the cell's :data:`ModelLike` and
-  runs the axiomatic enumeration (order enumerator or frontier kernel);
+  answers it with the frontier kernel;
 * ``"operational:<machine>"`` exhaustively explores one of the abstract
   machines named by :func:`operational_machines` — the Figure 17 GAM
   machine, its GAM0 variant, or the SC/TSO reference machines.  The
@@ -75,7 +75,7 @@ __all__ = [
     "evaluate_cell",
 ]
 
-ENGINE_VERSION = 7
+ENGINE_VERSION = 8
 """Bumped whenever engine/axiomatic semantics change, invalidating caches.
 
 Version history:
@@ -114,6 +114,12 @@ Version history:
   removed; every grid calls :func:`evaluate_cells` directly.  Results
   are unchanged, but engine docstrings changed and the R004 invariant
   ties every engine-path diff to a bump, so version-6 entries re-verify.
+* 8 — one verdict path: the frontier kernel learned store identity, the
+  same-store rule and the coherence edges, so it now answers ARM,
+  ``plsc`` and every ``.model`` variant, and the order-enumerator
+  fallback (``engine=`` and its environment switch) was deleted.
+  Results are parity-tested identical, but ARM and ``plsc`` verdicts
+  come from new code, so version-7 entries must miss.
 """
 
 ModelLike = Union[str, MemoryModel]
@@ -337,13 +343,12 @@ def evaluate_cell(cell: CellSpec, prefix: Optional[CandidatePrefix]) -> CellResu
 
     ``prefix`` must have been built for ``cell.test`` (or be ``None`` to
     rebuild per call); sharing it across all axiomatic cells of one test
-    is the engine's central amortization.  Engine dispatch happens
-    underneath: :func:`~repro.core.axiomatic.is_allowed` and
-    :func:`~repro.core.axiomatic.enumerate_outcomes` route each model to
-    the frontier kernel when it is exact for it and to the order
-    enumerator otherwise, and the kernel's solved DPs live on the shared
-    prefix alongside the memoized order streams.  Operational cells
-    bypass the prefix entirely and explore their abstract machine.
+    is the engine's central amortization.  Axiomatic cells go through
+    :func:`~repro.core.axiomatic.is_allowed` and
+    :func:`~repro.core.axiomatic.enumerate_outcomes`, which answer every
+    model with the frontier kernel; its solved DPs live on the shared
+    prefix.  Operational cells bypass the prefix entirely and explore
+    their abstract machine.
     """
     kind, machine = parse_oracle(cell.oracle)
     recorder = _obs_current()

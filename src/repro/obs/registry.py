@@ -136,19 +136,7 @@ METRICS: dict[str, MetricSpec] = {
         _counter(
             "engine.dispatch.kernel",
             "queries",
-            "Allowed/enumerate queries answered by the frontier DP kernel.",
-        ),
-        _counter(
-            "engine.dispatch.orders",
-            "queries",
-            "Queries answered by the legacy order enumerator although the "
-            "kernel supports the model (kernel disabled or forced off).",
-        ),
-        _counter(
-            "engine.dispatch.backtracker",
-            "queries",
-            "Queries requiring the exact backtracking enumerator (dynamic "
-            "clauses or coherence side conditions).",
+            "Allowed/enumerate queries, all answered by the frontier DP kernel.",
         ),
         # --- engine: result cache --------------------------------------
         _counter(

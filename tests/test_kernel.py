@@ -1,90 +1,113 @@
 """Tests for the frontier-memoized enumeration kernel (repro.core.kernel).
 
-Covers the tentpole properties: the kernel serves exactly the models it
-claims to (dispatch rules), it produces results identical to the exact
-order enumerator on every registered test and on a generated suite
-(differential parity — the exactness proof made executable), and the
-outcome-directed register pruning of ``is_allowed`` changes verdicts for
-nothing.
+The kernel is the only path behind ``is_allowed`` and
+``enumerate_outcomes``.  These tests hold it to the exact order
+enumerator behind ``enumerate_executions`` (differential parity — the
+exactness argument made executable) on every registered model and on
+``.model`` variants that reach each branch the kernel has: store
+identity, the same-store rule, and the coherence edges under both
+load-value axioms.  They also pin the solved-DP cache key and the
+outcome-directed register pruning of ``is_allowed``.
 """
 
 import pytest
 
 from repro.core.axiomatic import (
     CandidatePrefix,
+    MemoryModel,
+    enumerate_executions,
     enumerate_outcomes,
     is_allowed,
-    kernel_supports,
+    project_outcome,
 )
+from repro.core.ppo import DynamicClause
 from repro.litmus.dsl import LitmusBuilder
 from repro.litmus.frontend.suite import resolve_suite
 from repro.litmus.registry import all_tests, get_test
 from repro.models.registry import MODELS, get_model
 
-_FAST_MODELS = ("sc", "sc-gamlv", "tso", "gam", "gam0", "wmm", "alpha_like")
-_SLOW_MODELS = ("arm", "plsc")
+_ALPHA_PPO = "ppo SAMemSt\nppo SARmwLd\nppo FenceOrd\n"
+_GAM0_PPO = _ALPHA_PPO + "ppo RegRAW\nppo SAStLd\nppo AddrSt\nppo BrSt\n"
+
+VARIANTS = {
+    "sclv-coherent": "loadvalue sc\ncoherence required\n" + _ALPHA_PPO,
+    "ss-coherent": "coherence required\nppo PairwiseOrder(S,S)\n",
+    "gam0-coherent": "coherence required\n" + _GAM0_PPO,
+    "arm-coherent": "coherence required\n" + _GAM0_PPO + "dynamic SALdLdARM\n",
+    "alpha-arm": _ALPHA_PPO + "dynamic SALdLdARM\n",
+}
+"""``.model`` bodies that, with ``arm`` and ``plsc``, reach every kernel
+branch: coherence edges under LoadValueSC and LoadValueGAM, coherence
+without SAMemSt, coherence combined with SALdLdARM, and SALdLdARM over
+the weakest static DAG."""
 
 
-def _assert_parity(test, model_names, prefix=None):
-    """Outcome sets and verdicts must agree between the two engines."""
-    for name in model_names:
-        model = get_model(name)
-        kernel = enumerate_outcomes(
-            test, model, project="full", prefix=prefix, engine="kernel"
+def _variant(name):
+    return MemoryModel.from_spec(f"model {name}\n{VARIANTS[name]}")
+
+
+def _sweep_models():
+    return [get_model(name) for name in MODELS] + [_variant(n) for n in VARIANTS]
+
+
+def _reference_allowed(test, model, outcome, prefix=None):
+    """The verdict read off every execution the order enumerator yields."""
+    extra = {v for _, _, v in outcome.regs} | {v for _, v in outcome.mem}
+    return any(
+        outcome.matches(execution.final_regs, execution.final_mem)
+        for execution in enumerate_executions(test, model, extra, prefix=prefix)
+    )
+
+
+def _assert_parity(test, models, prefix=None):
+    """Kernel outcome sets and verdicts must equal the projected
+    executions of :func:`enumerate_executions`."""
+    for model in models:
+        executions = list(enumerate_executions(test, model, prefix=prefix))
+        reference = frozenset(
+            project_outcome(test, e.final_regs, e.final_mem, "full")
+            for e in executions
         )
-        orders = enumerate_outcomes(
-            test, model, project="full", prefix=prefix, engine="orders"
-        )
-        assert kernel == orders, f"{test.name} x {name}: outcome sets diverge"
+        kernel = enumerate_outcomes(test, model, project="full", prefix=prefix)
+        assert kernel == reference, f"{test.name} x {model.name}: outcome sets diverge"
         if test.asked is not None:
-            assert is_allowed(test, model, prefix=prefix, engine="kernel") == (
-                is_allowed(test, model, prefix=prefix, engine="orders")
-            ), f"{test.name} x {name}: verdicts diverge"
+            expected = any(
+                test.asked.matches(e.final_regs, e.final_mem) for e in executions
+            )
+            assert is_allowed(test, model, prefix=prefix) == expected, (
+                f"{test.name} x {model.name}: verdicts diverge"
+            )
 
 
 class TestDispatch:
-    def test_kernel_supports_the_static_zoo(self):
-        for name in _FAST_MODELS:
-            assert kernel_supports(get_model(name)), name
-
-    def test_kernel_rejects_dynamic_and_coherent_models(self):
-        for name in _SLOW_MODELS:
-            assert not kernel_supports(get_model(name)), name
-
-    def test_engine_kernel_raises_for_unsupported_models(self):
-        test = get_test("dekker")
-        for name in _SLOW_MODELS:
-            with pytest.raises(ValueError):
-                enumerate_outcomes(test, get_model(name), engine="kernel")
-            with pytest.raises(ValueError):
-                is_allowed(test, get_model(name), engine="kernel")
-
-    def test_unknown_engine_rejected(self):
-        test = get_test("dekker")
-        with pytest.raises(ValueError):
-            enumerate_outcomes(test, get_model("gam"), engine="fastest")
-
-    def test_env_var_disables_kernel(self, monkeypatch):
-        # With REPRO_ENUM_KERNEL=0 the auto dispatch must take the order
-        # enumerator: the orders stream gets consumed, no kernel is built.
-        monkeypatch.setenv("REPRO_ENUM_KERNEL", "0")
-        test = get_test("dekker")
-        prefix = CandidatePrefix(test)
-        outcomes = enumerate_outcomes(test, get_model("gam"), prefix=prefix)
-        assert outcomes
-        assert not prefix._kernels and prefix._orders
-
     def test_auto_uses_kernel_for_static_models(self):
         test = get_test("dekker")
         prefix = CandidatePrefix(test)
         enumerate_outcomes(test, get_model("gam"), prefix=prefix)
-        assert prefix._kernels and not prefix._orders
+        assert prefix._kernels
 
-    def test_auto_uses_orders_for_arm(self):
-        test = get_test("dekker")
+    @pytest.mark.parametrize("name", ["arm", "plsc"])
+    def test_dynamic_and_coherent_models_use_the_kernel(self, name):
+        test = get_test("corr")
         prefix = CandidatePrefix(test)
-        enumerate_outcomes(test, get_model("arm"), prefix=prefix)
-        assert not prefix._kernels and prefix._orders
+        enumerate_outcomes(test, get_model(name), prefix=prefix)
+        assert prefix._kernels
+
+    def test_unknown_dynamic_clause_rejected(self):
+        class Unknown(DynamicClause):
+            name = "Unknown"
+
+            def edges(self, ctx, rf_local):
+                return ()
+
+        base = get_model("gam0")
+        model = MemoryModel(
+            name="unknown-dynamic",
+            clauses=base.clauses,
+            dynamic_clauses=(Unknown(),),
+        )
+        with pytest.raises(ValueError, match="Unknown"):
+            enumerate_outcomes(get_test("mp"), model)
 
 
 class TestKernelInternals:
@@ -97,12 +120,31 @@ class TestKernelInternals:
         enumerate_outcomes(test, get_model("rmo"), prefix=prefix)
         assert len(prefix._kernels) == kernels_after_first
 
+    @pytest.mark.parametrize(
+        "weaker, stronger, test_name",
+        [
+            ("gam0", "arm", "rnsw"),
+            ("alpha_like", "plsc", "corr"),
+            ("alpha_like", "plsc", "corr3"),
+        ],
+    )
+    def test_memo_key_separates_models_sharing_a_dag(
+        self, weaker, stronger, test_name
+    ):
+        # arm shares gam0's static DAG and plsc shares alpha_like's; a
+        # kernel key without the dynamic clauses and coherence flag would
+        # hand the stronger model the weaker one's solved DP.
+        test = get_test(test_name)
+        prefix = CandidatePrefix(test)
+        assert is_allowed(test, get_model(weaker), prefix=prefix)
+        assert not is_allowed(test, get_model(stronger), prefix=prefix)
+
     def test_final_memories_align_with_addresses(self):
         test = get_test("coww")
         prefix = CandidatePrefix(test)
         model = get_model("gam")
         candidate = prefix.candidate(0, model)
-        kernel = prefix.kernel_for(0, candidate, model.load_value)
+        kernel = prefix.kernel_for(0, candidate, model)
         for values in kernel.final_memories():
             assert len(values) == len(kernel.addresses)
             memory = kernel.as_memory(values)
@@ -118,15 +160,16 @@ class TestKernelInternals:
         builder.proc().st("a", 1)
         builder.proc().ld("r1", "a").ld("r2", "a")
         test = builder.build(asked={"P1.r1": 1, "P1.r2": 0})
-        model = get_model("sc")
-        assert is_allowed(test, model, engine="kernel") == is_allowed(
-            test, model, engine="orders"
-        )
+        for name in ("sc", "arm", "plsc"):
+            model = get_model(name)
+            assert is_allowed(test, model) == _reference_allowed(
+                test, model, test.asked
+            ), name
 
     @pytest.mark.parametrize("test_name", ["rmw-swap", "rmw-fetch-add", "rmw+ld"])
     def test_rmw_composite_nodes(self, test_name):
         test = get_test(test_name)
-        _assert_parity(test, _FAST_MODELS)
+        _assert_parity(test, _sweep_models())
 
 
 class TestParityQuick:
@@ -139,47 +182,44 @@ class TestParityQuick:
     def test_paper_figures_parity(self, test_name):
         test = get_test(test_name)
         prefix = CandidatePrefix(test)
-        _assert_parity(test, ("sc", "gam", "wmm"), prefix=prefix)
+        _assert_parity(test, [get_model(n) for n in ("sc", "gam", "wmm")], prefix)
+
+    @pytest.mark.parametrize(
+        "test_name", ["rsw", "rnsw", "corr", "coww", "mp", "corw1", "cowr"]
+    )
+    def test_dynamic_and_coherent_parity(self, test_name):
+        test = get_test(test_name)
+        prefix = CandidatePrefix(test)
+        models = [get_model("arm"), get_model("plsc")]
+        _assert_parity(test, models + [_variant(n) for n in VARIANTS], prefix)
 
     def test_explicit_outcome_with_memory_constraint(self):
         test = get_test("coww")
         addr_outcome = test.parse_outcome({"a": 2})
-        for name in ("sc", "gam"):
+        for name in ("sc", "gam", "arm", "plsc"):
             model = get_model(name)
-            assert is_allowed(test, model, addr_outcome, engine="kernel") == (
-                is_allowed(test, model, addr_outcome, engine="orders")
-            )
+            assert is_allowed(test, model, addr_outcome) == _reference_allowed(
+                test, model, addr_outcome
+            ), name
 
 
 @pytest.mark.slow
 class TestParityFull:
-    """The differential parity sweep: every registered test and a generated
-    suite, across the whole model zoo (auto dispatch included)."""
+    """The differential parity sweep: every registered model and the
+    ``.model`` variants over the registered suite, a generated suite and a
+    random-program sample."""
 
     def test_registered_suite_parity(self):
+        models = _sweep_models()
         for test in all_tests():
-            prefix = CandidatePrefix(test)
-            fast = [name for name in MODELS if kernel_supports(get_model(name))]
-            _assert_parity(test, fast, prefix=prefix)
-            # Auto dispatch must agree with both engines everywhere.
-            for name in MODELS:
-                model = get_model(name)
-                assert enumerate_outcomes(
-                    test, model, project="full", prefix=prefix
-                ) == enumerate_outcomes(
-                    test, model, project="full", prefix=prefix, engine="orders"
-                ), f"{test.name} x {name}"
+            _assert_parity(test, models, CandidatePrefix(test))
 
     def test_generated_suite_parity(self):
-        for test in resolve_suite("gen:edges=3"):
-            prefix = CandidatePrefix(test)
-            for name in MODELS:
-                model = get_model(name)
-                assert is_allowed(test, model, prefix=prefix) == is_allowed(
-                    test, model, prefix=prefix, engine="orders"
-                ), f"{test.name} x {name}"
-                assert enumerate_outcomes(
-                    test, model, project="full", prefix=prefix
-                ) == enumerate_outcomes(
-                    test, model, project="full", prefix=prefix, engine="orders"
-                ), f"{test.name} x {name}"
+        models = _sweep_models()
+        for test in resolve_suite("gen:edges=4"):
+            _assert_parity(test, models, CandidatePrefix(test))
+
+    def test_random_suite_parity(self):
+        models = _sweep_models()
+        for test in resolve_suite("rand:n=100,seed=1"):
+            _assert_parity(test, models, CandidatePrefix(test))

@@ -1,11 +1,10 @@
 #!/usr/bin/env python
 """Run the engine benchmarks and record the perf baseline.
 
-Runs ``benchmarks/bench_axiomatic_engine.py`` twice — once with
-``REPRO_ENUM_KERNEL=0`` (the exact order enumerator, the "before" of the
-frontier-kernel tentpole) and once on the default dispatch (the kernel
-fast path, "after") — plus the engine-parallel matrix benchmark, and
-writes per-benchmark medians and before/after speedups to
+Runs ``benchmarks/bench_axiomatic_engine.py`` — whose ``*_orders_engine``
+variants time the exact order enumerator on the same figures as the
+frontier-kernel benchmarks — plus the engine-parallel matrix benchmark,
+and writes per-benchmark medians and kernel-vs-orders speedups to
 ``BENCH_axiomatic.json`` at the repository root.  Future PRs diff against
 this file to see whether they moved the hot path.
 
@@ -67,12 +66,11 @@ def append_history(
     return entries
 
 
-def _run_bench(bench: str, json_path: pathlib.Path, extra_env: dict) -> None:
+def _run_bench(bench: str, json_path: pathlib.Path) -> None:
     env = dict(os.environ)
     src = str(ROOT / "src")
     existing = env.get("PYTHONPATH")
     env["PYTHONPATH"] = f"{src}{os.pathsep}{existing}" if existing else src
-    env.update(extra_env)
     command = [
         sys.executable,
         "-m",
@@ -100,31 +98,33 @@ def _medians(json_path: pathlib.Path) -> dict[str, float]:
     }
 
 
+def orders_speedups(medians: dict[str, float]) -> dict[str, float]:
+    """Order-enumerator median over kernel median, per benchmark that has
+    an ``*_orders_engine`` twin (``test_x[p]`` vs ``test_x_orders_engine[p]``)."""
+    speedups = {}
+    for name, seconds in sorted(medians.items()):
+        base, bracket, param = name.partition("[")
+        twin = f"{base}_orders_engine{bracket}{param}"
+        if twin in medians and seconds > 0:
+            speedups[name] = round(medians[twin] / seconds, 2)
+    return speedups
+
+
 def collect(skip_parallel: bool = False) -> dict:
     """Run the benchmark matrix and assemble the baseline payload."""
     payload: dict = {
         "bench": AXIOMATIC_BENCH,
         "unit": "seconds (median per call)",
-        "before_env": {"REPRO_ENUM_KERNEL": "0"},
     }
     with tempfile.TemporaryDirectory() as tmp:
         tmp_path = pathlib.Path(tmp)
-        before_json = tmp_path / "before.json"
-        after_json = tmp_path / "after.json"
-        _run_bench(AXIOMATIC_BENCH, before_json, {"REPRO_ENUM_KERNEL": "0"})
-        _run_bench(AXIOMATIC_BENCH, after_json, {})
-        before = _medians(before_json)
-        after = _medians(after_json)
-        payload["before"] = before
-        payload["after"] = after
-        payload["speedup"] = {
-            name: round(before[name] / after[name], 2)
-            for name in sorted(before)
-            if name in after and after[name] > 0
-        }
+        axiomatic_json = tmp_path / "axiomatic.json"
+        _run_bench(AXIOMATIC_BENCH, axiomatic_json)
+        payload["medians"] = _medians(axiomatic_json)
+        payload["speedup"] = orders_speedups(payload["medians"])
         if not skip_parallel:
             parallel_json = tmp_path / "parallel.json"
-            _run_bench(PARALLEL_BENCH, parallel_json, {})
+            _run_bench(PARALLEL_BENCH, parallel_json)
             payload["engine_parallel"] = _medians(parallel_json)
             matrix_json = ROOT / "benchmarks/results/BENCH_engine_parallel.json"
             if matrix_json.exists():
@@ -156,9 +156,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     payload = collect(skip_parallel=args.skip_parallel)
     args.output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    hard = [name for name in payload["speedup"] if "hard_figures[" in name or "iriw" in name]
-    for name in sorted(hard):
-        print(f"{name}: {payload['speedup'][name]}x")
+    for name, speedup in payload["speedup"].items():
+        print(f"{name}: {speedup}x over the order enumerator")
     print(f"wrote {args.output}")
     if not args.no_history:
         import datetime
