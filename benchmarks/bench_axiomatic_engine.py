@@ -5,19 +5,15 @@ enumeration on small tests, verdicts on the paper's hardest figures (RSW /
 RNSW, six-load programs with dependency chains), and a four-processor
 test (IRIW).
 
-The default-path benchmarks ride the frontier kernel; the
-``*_orders_engine`` variants read the same verdicts off the exact order
-enumerator behind ``enumerate_executions`` so the kernel's advantage
-stays measured run over run.  ``tools/run_benches.py`` runs this file
-and records the medians, and the kernel-vs-orders speedups, in
-``BENCH_axiomatic.json`` at the repo root.
+Every benchmark rides the frontier kernel.  ``tools/run_benches.py`` runs
+this file and records the medians in ``BENCH_axiomatic.json`` at the repo
+root.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import orders_allowed
 from repro.core.axiomatic import enumerate_outcomes, is_allowed, value_domains
 from repro.litmus.registry import get_test
 from repro.models.registry import get_model
@@ -44,15 +40,6 @@ def test_verdict_iriw_four_procs(benchmark):
     gam = get_model("gam")
     allowed = benchmark(lambda: is_allowed(test, gam))
     assert allowed is True
-
-
-@pytest.mark.parametrize("test_name", ["rsw", "rnsw"])
-def test_verdict_hard_figures_orders_engine(benchmark, test_name):
-    """The exact order enumerator on the same figures (kernel comparison)."""
-    test = get_test(test_name)
-    gam = get_model("gam")
-    allowed = benchmark(lambda: orders_allowed(test, gam))
-    assert allowed is False
 
 
 def test_outcome_set_iriw(benchmark):

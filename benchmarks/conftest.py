@@ -12,7 +12,6 @@ import pathlib
 
 import pytest
 
-from repro.core.axiomatic import enumerate_executions
 from repro.eval.figure18 import run_figure18
 from repro.litmus.registry import paper_suite
 
@@ -58,14 +57,3 @@ def write_result(results_dir: pathlib.Path, name: str, content: str) -> None:
     """Persist a rendered experiment artifact."""
     (results_dir / name).write_text(content + "\n")
 
-
-def orders_allowed(test, model) -> bool:
-    """The asked outcome's verdict through the exact order enumerator.
-
-    Reads the verdict off every execution :func:`enumerate_executions`
-    yields, so the order enumerator the kernel replaced stays measured.
-    """
-    return any(
-        test.asked.matches(execution.final_regs, execution.final_mem)
-        for execution in enumerate_executions(test, model)
-    )

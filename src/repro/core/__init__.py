@@ -5,7 +5,8 @@
   preserved program order).
 * :mod:`repro.core.axiomatic` — the axiomatic checking engine.
 * :mod:`repro.core.kernel` — the frontier-memoized bitmask enumeration
-  kernel, which answers every verdict and outcome-set query.
+  kernel, the one enumerator behind every verdict, outcome set and
+  witness execution.
 * :mod:`repro.core.operational` — the Figure 17 abstract machine with
   exhaustive exploration.
 * :mod:`repro.core.construction` — Section III's construction procedure as
@@ -20,7 +21,6 @@ from .axiomatic import (
     enumerate_executions,
     enumerate_outcomes,
     is_allowed,
-    value_domain,
 )
 from .construction import CONSTRAINTS, assemble, derivation_chain
 from .dependencies import adep_edges, ddep_edges
@@ -52,7 +52,6 @@ __all__ = [
     "enumerate_executions",
     "enumerate_outcomes",
     "is_allowed",
-    "value_domain",
     "FrontierKernel",
     "assemble",
     "derivation_chain",

@@ -4,37 +4,31 @@ Given a litmus test and a :class:`MemoryModel`, the engine enumerates every
 execution ``<po, mo, rf>`` satisfying the model's axioms:
 
 1. **Candidate load values.**  A closed value domain is computed
-   (:func:`value_domain`); each processor's program is replayed under every
+   (:func:`value_domains`); each processor's program is replayed under every
    assignment of domain values to its loads, which fixes addresses, store
    data and branch paths (``<po`` is the replayed stream).
 2. **Memory orders.**  The static ppo clauses are evaluated per processor
-   and projected onto memory events; every topological order of the
-   resulting DAG is a candidate ``<mo`` (axiom InstOrder holds by
-   construction).  During enumeration each load's value is derived from the
-   LoadValue axiom incrementally and mismatching prefixes are pruned.
-3. **Post-checks.**  Execution-dependent clauses (ARM's SALdLdARM) and the
-   per-location-SC side condition are verified against the completed
-   execution; survivors are yielded as :class:`~repro.core.events.Execution`.
+   and projected onto memory events; a topological order of the resulting
+   DAG is a candidate ``<mo`` (axiom InstOrder holds by construction).
+   The **frontier kernel** (:mod:`repro.core.kernel`) builds orders one
+   placement at a time, checking each load's value against the LoadValue
+   axiom, ARM's execution-dependent SALdLdARM and the per-location-SC side
+   condition as it goes, and memoizes on abstract placement states.
+3. **Answers.**  Verdicts and outcome sets (:func:`is_allowed`,
+   :func:`enumerate_outcomes`) read the solved DP's final memories and
+   never materialize an order; :func:`enumerate_executions` walks the
+   solved DP to list each legal ``<mo`` with the ``rf`` the walk records.
 
 The engine is exact (sound and complete) for the model classes in this
 repository because every static clause edge goes forward in program order
 (so the per-processor projection is acyclic) and every model orders
-same-address stores by program order (so load values are determined as soon
-as the load is placed — see :func:`_place_load_value`).
-
-Verdicts and outcome sets (:func:`is_allowed`, :func:`enumerate_outcomes`)
-never materialize an order: the **frontier kernel** (:mod:`repro.core.kernel`)
-answers them for every model, ARM and ``plsc`` included, with a bitmask DP
-over abstract placement states that decides the post-checks of step 3
-while the order is built.  :func:`enumerate_executions` keeps the order
-enumerator below, because witnesses need materialized ``mo``/``rf``; it is
-also the reference the parity suite holds the kernel to.  Both share all
-candidate preparation through :class:`CandidatePrefix`.
+same-address stores by program order (so a load's value is determined as
+soon as it is placed).  All candidate preparation is shared across models
+through :class:`CandidatePrefix`.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -69,7 +63,6 @@ __all__ = [
     "DomainOverflowError",
     "ValueDomains",
     "CandidatePrefix",
-    "value_domain",
     "value_domains",
     "enumerate_executions",
     "enumerate_outcomes",
@@ -239,15 +232,6 @@ def value_domains(
         by_addr={addr: frozenset(v) for addr, v in by_addr.items()},
         wild=frozenset(wild),
     )
-
-
-def value_domain(
-    test: LitmusTest,
-    extra: Iterable[int] = (),
-    cap: int = _DOMAIN_CAP,
-) -> frozenset[int]:
-    """The flat union of :func:`value_domains` (compatibility helper)."""
-    return value_domains(test, extra, cap).everything()
 
 
 def _producible_stores(
@@ -486,185 +470,6 @@ def _static_memory_edges(
     return frozenset(mem_edges)
 
 
-def _orders_with_load_values(
-    candidate: _Candidate,
-    load_value_mode: str,
-) -> Iterator[tuple[tuple[EventId, ...], dict[EventId, EventId]]]:
-    """Yield ``(mo, rf)`` for every topological order with consistent loads.
-
-    The incremental LoadValue check: when a load is placed, its value is
-    already determined — either the youngest *unplaced* program-order-earlier
-    same-address store (which, by store coherence, will be the
-    memory-order-youngest candidate), or the latest placed store to the
-    address.  Mismatches prune the whole subtree.
-
-    An RMW's two halves form one composite placement unit keyed by the load
-    half: the load half's value is checked against the latest placed store,
-    then the store half is placed immediately after, which realizes the
-    "executes by accessing the memory system at one instant" semantics of
-    Section III-C (atomicity holds because nothing intervenes in ``<mo``).
-    """
-    pairs = candidate.rmw_pairs
-    folded = set(pairs.values())
-    nodes = [e.eid for e in candidate.events if e.eid not in folded]
-    node_of = {eid: eid for eid in nodes}
-    for load_eid, store_eid in pairs.items():
-        node_of[store_eid] = load_eid
-    succs: dict[EventId, list[EventId]] = {eid: [] for eid in nodes}
-    indegree: dict[EventId, int] = {eid: 0 for eid in nodes}
-    for a, b in candidate.mem_edges:
-        node_a, node_b = node_of[a], node_of[b]
-        if node_a != node_b:
-            succs[node_a].append(node_b)
-            indegree[node_b] += 1
-
-    last_store: dict[int, MemEvent] = {e.addr: e for e in candidate.inits}
-    placed: list[EventId] = []
-    placed_nodes: set[EventId] = set()
-    placed_stores: set[EventId] = set()
-    rf: dict[EventId, EventId] = {}
-
-    def determined_value(event: MemEvent) -> tuple[int, EventId]:
-        if load_value_mode == "gam" and event.eid not in candidate.no_forward:
-            for store in reversed(candidate.po_stores.get(event.eid, ())):
-                if store.eid not in placed_stores:
-                    return store.value, store.eid
-                break  # the youngest program-order store is already placed
-        source = last_store[event.addr]
-        return source.value, source.eid
-
-    def place_events(node: EventId) -> Optional[list[tuple[MemEvent, object]]]:
-        """Place the node's event(s); None means a load value mismatched."""
-        undo: list[tuple[MemEvent, object]] = []
-        event = candidate.event_by_id[node]
-        if event.is_store:
-            undo.append((event, last_store.get(event.addr)))
-            last_store[event.addr] = event
-            placed_stores.add(event.eid)
-            placed.append(event.eid)
-            return undo
-        value, source = determined_value(event)
-        if value != event.value:
-            return None
-        rf[node] = source
-        placed.append(node)
-        undo.append((event, None))
-        store_eid = pairs.get(node)
-        if store_eid is not None:
-            store_event = candidate.event_by_id[store_eid]
-            undo.append((store_event, last_store.get(store_event.addr)))
-            last_store[store_event.addr] = store_event
-            placed_stores.add(store_eid)
-            placed.append(store_eid)
-        return undo
-
-    def unplace_events(node: EventId, undo: list[tuple[MemEvent, object]]) -> None:
-        for event, saved in reversed(undo):
-            placed.pop()
-            if event.is_store:
-                placed_stores.discard(event.eid)
-                if saved is None:
-                    last_store.pop(event.addr, None)
-                else:
-                    last_store[event.addr] = saved
-            else:
-                rf.pop(event.eid, None)
-
-    # The ready frontier is maintained incrementally (drop the placed node,
-    # insort successors whose last predecessor was just placed) rather than
-    # rescanning every node at every depth; keeping it sorted by position in
-    # ``nodes`` preserves the exact enumeration order of the rescan.
-    node_position = {eid: i for i, eid in enumerate(nodes)}
-
-    def backtrack(
-        ready: list[EventId],
-    ) -> Iterator[tuple[tuple[EventId, ...], dict[EventId, EventId]]]:
-        if len(placed_nodes) == len(nodes):
-            init_order = tuple(e.eid for e in candidate.inits)
-            yield init_order + tuple(placed), dict(rf)
-            return
-        for position, node in enumerate(ready):
-            undo = place_events(node)
-            if undo is None:
-                continue
-            placed_nodes.add(node)
-            next_ready = ready[:position] + ready[position + 1 :]
-            for succ in succs[node]:
-                indegree[succ] -= 1
-                if indegree[succ] == 0:
-                    bisect.insort(next_ready, succ, key=node_position.__getitem__)
-            yield from backtrack(next_ready)
-            for succ in succs[node]:
-                indegree[succ] += 1
-            placed_nodes.remove(node)
-            unplace_events(node, undo)
-
-    yield from backtrack([eid for eid in nodes if indegree[eid] == 0])
-
-
-def _dynamic_memory_edges(
-    candidate: _Candidate,
-    model: MemoryModel,
-    proc: int,
-    rf_local: Mapping[int, EventId],
-) -> tuple[tuple[EventId, EventId], ...]:
-    """One processor's (static + dynamic) ppo projected onto memory events."""
-    ctx = candidate.contexts[proc]
-    ppo = compute_ppo(ctx, model.clauses, model.dynamic_clauses, rf_local)
-    return tuple(
-        (candidate.src_eid(proc, a), (proc, b))
-        for a, b in project_to_memory(ctx, ppo)
-    )
-
-
-def _dynamic_clauses_hold(
-    candidate: _Candidate,
-    model: MemoryModel,
-    mo: tuple[EventId, ...],
-    rf: Mapping[EventId, EventId],
-    memo: dict,
-) -> bool:
-    """Post-check execution-dependent ppo clauses against a completed order.
-
-    Recomputes the full (static + dynamic) transitive ppo per processor and
-    requires every memory-to-memory edge to agree with ``mo``.  The dynamic
-    ppo depends on the execution only through each processor's local
-    read-from map, so the projected edges are memoized in ``memo`` (one
-    dict per candidate) under ``(proc, rf_local)`` — many memory orders
-    share the same read-from and skip the ppo re-closure.
-    """
-    if not model.dynamic_clauses:
-        return True
-    position = {eid: i for i, eid in enumerate(mo)}
-    for proc in range(len(candidate.contexts)):
-        rf_local = {
-            index: rf[(proc, index)]
-            for (p, index) in rf
-            if p == proc
-        }
-        key = (proc, frozenset(rf_local.items()))
-        edges = memo.get(key)
-        if edges is None:
-            edges = memo[key] = _dynamic_memory_edges(candidate, model, proc, rf_local)
-        for a, b in edges:
-            if position[a] >= position[b]:
-                return False
-    return True
-
-
-def _final_memory(
-    candidate: _Candidate,
-    mo: tuple[EventId, ...],
-) -> dict[int, int]:
-    """Final memory: the memory-order-youngest store per address."""
-    final: dict[int, int] = {}
-    for eid in mo:
-        event = candidate.event_by_id[eid]
-        if event.is_store:
-            final[event.addr] = event.value
-    return final
-
-
 class CandidatePrefix:
     """The model-independent prefix of :func:`enumerate_executions`.
 
@@ -762,35 +567,42 @@ def enumerate_executions(
 ) -> Iterator[Execution]:
     """Yield every execution of ``test`` the model's axioms allow.
 
-    ``prefix`` shares the model-independent work (value domains, program
-    runs, candidate bases) across calls for the same test; a prefix whose
-    domains do not cover ``extra_values`` is ignored and rebuilt.
+    Each legal memory order comes from walking the frontier kernel's solved
+    DP (:meth:`~repro.core.kernel.FrontierKernel.orders`), per run
+    combination in lexicographic node order.  ``prefix`` shares the
+    model-independent work (value domains, program runs, candidate bases)
+    across calls for the same test; a prefix whose domains do not cover
+    ``extra_values`` is ignored and rebuilt.
     """
-    from .perloc_sc import execution_is_per_location_sc  # cycle-free import
-
     if prefix is None or not prefix.covers(extra_values):
         prefix = CandidatePrefix(test, extra_values)
     for combo_index in range(len(prefix.combos)):
         candidate = prefix.candidate(combo_index, model)
         if candidate is None:
             continue
+        kernel = prefix.kernel_for(combo_index, candidate, model)
         final_regs = _final_regs_of(candidate.runs)
-        dynamic_memo: dict = {}
-        for mo, rf in _orders_with_load_values(candidate, model.load_value):
-            if not _dynamic_clauses_hold(candidate, model, mo, rf, dynamic_memo):
-                continue
-            execution = Execution(
+        for order, rf in kernel.orders():
+            mo = [e.eid for e in candidate.inits]
+            for node in order:  # an RMW's store half right after its load half
+                eid = kernel.node_eids[node]
+                mo.append(eid)
+                if eid in candidate.rmw_pairs:
+                    mo.append(candidate.rmw_pairs[eid])
+            final_mem: dict[int, int] = {}
+            for eid in mo:
+                event = candidate.event_by_id[eid]
+                if event.is_store:
+                    final_mem[event.addr] = event.value
+            yield Execution(
                 runs=candidate.runs,
                 events=candidate.events,
                 inits=candidate.inits,
-                mo=mo,
+                mo=tuple(mo),
                 rf=rf,
                 final_regs=final_regs,
-                final_mem=_final_memory(candidate, mo),
+                final_mem=final_mem,
             )
-            if model.requires_coherence and not execution_is_per_location_sc(execution):
-                continue
-            yield execution
 
 
 def project_outcome(

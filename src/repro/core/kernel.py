@@ -1,11 +1,13 @@
-"""Frontier-memoized bitmask enumeration kernel — the engine's verdict path.
+"""Frontier-memoized bitmask enumeration kernel — the one axiomatic enumerator.
 
-The exact enumerator (:func:`repro.core.axiomatic._orders_with_load_values`)
-backtracks through *every* topological order of the memory-event DAG:
+Backtracking through *every* topological order of the memory-event DAG is
 factorial in event count, and a *forbidden* verdict — the dominant case in
 differential hunts — must exhaust the whole space.  This module collapses
 that search into a dynamic program over DAG antichains, exact for every
-model the ``.model`` vocabulary can express.
+model the ``.model`` vocabulary can express.  Verdicts and outcome sets read
+the solved DP's final memories; witnesses walk the solved DP
+(:meth:`FrontierKernel.orders`) to materialize each legal memory order
+without ever entering a dead branch.
 
 **The abstract-state argument.**  Within one candidate value combination the
 program runs are fixed, so final registers are fixed; the only thing a
@@ -65,13 +67,14 @@ pre-placement state, then the store half's write is applied), realizing the
 ``n`` nodes per state: ``O(S * n)`` where ``S`` is bounded by (number of
 antichain-downsets of the ppo DAG) x (number of reachable per-address
 store tuples) x (pending requirements) — for litmus-sized tests a few
-hundred states where the order enumerator walks millions of interleavings.
+hundred states where a backtracker over orders walks millions of
+interleavings.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from ..obs import incr as _obs_incr
 from ..obs import observe as _obs_observe
@@ -120,7 +123,8 @@ class FrontierKernel:
 
     Built from a specialized candidate (events plus the model's static-ppo
     memory DAG); :meth:`final_memories` answers "which final memories can a
-    legal memory order reach?" without materializing any order.  Instances
+    legal memory order reach?" without materializing any order, and
+    :meth:`orders` lists the legal orders themselves.  Instances
     are cached by :class:`repro.core.axiomatic.CandidatePrefix`, so models
     with identical clause sets share one solved DP.
 
@@ -130,12 +134,15 @@ class FrontierKernel:
 
     __slots__ = (
         "addresses",
+        "node_eids",
         "_n",
         "_full",
         "_pred_mask",
         "_checks",
         "_rules",
         "_writes",
+        "_stored",
+        "_init_stores",
         "_init_state",
         "_token_values",
         "_memo",
@@ -184,8 +191,10 @@ class FrontierKernel:
                 token_of[event.eid] = len(token_values) if identity else event.value
                 token_values.append(event.value)
         init_state = [0] * len(self.addresses)
+        init_stores: list[Optional[EventId]] = [None] * len(self.addresses)
         for event in candidate.inits:
             init_state[slot[event.addr]] = token_of[event.eid]
+            init_stores[slot[event.addr]] = event.eid
 
         rules: list[Optional[tuple[int, tuple[tuple[int, int], ...]]]] = [None] * n
         if identity:
@@ -210,10 +219,12 @@ class FrontierKernel:
         # an optional store write ``(slot, token)`` (the store half for RMWs).
         checks: list[Optional[tuple[int, frozenset[int], int, int]]] = [None] * n
         writes: list[Optional[tuple[int, int]]] = [None] * n
+        stored: list[Optional[EventId]] = [None] * n  # eid each node writes
         for i, eid in enumerate(node_eids):
             event = candidate.event_by_id[eid]
             if event.is_store:
                 writes[i] = (slot[event.addr], token_of[eid])
+                stored[i] = eid
                 continue
             fwd_bit, fwd_token = -1, _UNSET
             if load_value_mode == "gam" and eid not in candidate.no_forward:
@@ -232,13 +243,17 @@ class FrontierKernel:
             store_eid = pairs.get(eid)
             if store_eid is not None:
                 writes[i] = (slot[event.addr], token_of[store_eid])
+                stored[i] = store_eid
 
+        self.node_eids: tuple[EventId, ...] = tuple(node_eids)
         self._n = n
         self._full = (1 << n) - 1
         self._pred_mask = pred_mask
         self._checks = checks
         self._rules = rules
         self._writes = writes
+        self._stored = stored
+        self._init_stores = init_stores
         self._init_state = tuple(init_state)
         self._token_values = token_values if identity else None
         self._memo: dict[tuple[int, tuple[int, ...]], frozenset] = {}
@@ -260,6 +275,52 @@ class FrontierKernel:
         """One :meth:`final_memories` tuple as an ``addr -> value`` dict."""
         return dict(zip(self.addresses, values))
 
+    def orders(self) -> Iterator[tuple[tuple[int, ...], dict[EventId, EventId]]]:
+        """Every legal placement order, as node indices, in lexicographic
+        order, with the store each load reads from (load eid -> store eid).
+
+        Solves first, then walks from the initial state trying ready nodes
+        in ascending index and descending only into children whose memoized
+        completion set is non-empty, so every branch taken yields an order.
+        A load reads its forwarding node's store while that node is
+        unplaced, else the last placed store to its address.
+        """
+        if not self.final_memories():
+            return
+        order: list[int] = []
+        reads: list[tuple[EventId, EventId]] = []
+        last = list(self._init_stores)
+
+        def walk(
+            placed: int, state: tuple[int, ...]
+        ) -> Iterator[tuple[tuple[int, ...], dict[EventId, EventId]]]:
+            if placed == self._full:
+                yield tuple(order), dict(reads)
+                return
+            for i, successor in self._successors(placed, state):
+                child = placed | 1 << i
+                if child != self._full and not self._memo[(child, successor)]:
+                    continue
+                check = self._checks[i]
+                if check is not None:
+                    addr_slot, _, fwd_bit, _ = check
+                    forwarded = fwd_bit >= 0 and not placed >> fwd_bit & 1
+                    source = self._stored[fwd_bit] if forwarded else last[addr_slot]
+                    reads.append((self.node_eids[i], source))
+                write = self._writes[i]
+                if write is not None:
+                    overwritten = last[write[0]]
+                    last[write[0]] = self._stored[i]
+                order.append(i)
+                yield from walk(child, successor)
+                order.pop()
+                if write is not None:
+                    last[write[0]] = overwritten
+                if check is not None:
+                    reads.pop()
+
+        yield from walk(0, self._init_state)
+
     def _solve(
         self, placed: int, state: tuple[int, ...]
     ) -> frozenset[tuple[int, ...]]:
@@ -274,11 +335,25 @@ class FrontierKernel:
         cached = self._memo.get(key)
         if cached is not None:
             return cached
+        solve = self._solve
+        results: set[tuple[int, ...]] = set()
+        for i, successor in self._successors(placed, state):
+            results.update(solve(placed | 1 << i, successor))
+        outcome = frozenset(results)
+        self._memo[key] = outcome
+        return outcome
+
+    def _successors(
+        self, placed: int, state: tuple[int, ...]
+    ) -> list[tuple[int, tuple[int, ...]]]:
+        """Each ready node ``i`` whose placement keeps the LoadValue axiom
+        and the same-store rule, in ascending index, with the state after
+        placing it."""
         pred_mask = self._pred_mask
         checks = self._checks
         rules = self._rules
         writes = self._writes
-        results: set[tuple[int, ...]] = set()
+        children: list[tuple[int, tuple[int, ...]]] = []
         for i in range(self._n):
             bit = 1 << i
             if placed & bit or pred_mask[i] & ~placed:
@@ -305,10 +380,8 @@ class FrontierKernel:
                     mutable = list(successor)
                     mutable[addr_slot] = token
                     successor = tuple(mutable)
-            results.update(self._solve(placed | bit, successor))
-        outcome = frozenset(results)
-        self._memo[key] = outcome
-        return outcome
+            children.append((i, successor))
+        return children
 
 
 def _apply_same_store(

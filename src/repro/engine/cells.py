@@ -75,7 +75,7 @@ __all__ = [
     "evaluate_cell",
 ]
 
-ENGINE_VERSION = 8
+ENGINE_VERSION = 9
 """Bumped whenever engine/axiomatic semantics change, invalidating caches.
 
 Version history:
@@ -120,6 +120,12 @@ Version history:
   fallback (``engine=`` and its environment switch) was deleted.
   Results are parity-tested identical, but ARM and ``plsc`` verdicts
   come from new code, so version-7 entries must miss.
+* 9 — one axiomatic enumerator: ``enumerate_executions`` walks the
+  kernel's solved DP, the order backtracker was deleted, and the DP's
+  per-node transition moved into one helper shared by the solve and the
+  walk.  Results are unchanged, but the kernel's DP loop changed and the
+  R004 invariant ties every engine-path diff to a bump, so version-8
+  entries re-verify.
 """
 
 ModelLike = Union[str, MemoryModel]

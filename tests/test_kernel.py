@@ -1,13 +1,14 @@
 """Tests for the frontier-memoized enumeration kernel (repro.core.kernel).
 
-The kernel is the only path behind ``is_allowed`` and
-``enumerate_outcomes``.  These tests hold it to the exact order
-enumerator behind ``enumerate_executions`` (differential parity — the
-exactness argument made executable) on every registered model and on
-``.model`` variants that reach each branch the kernel has: store
-identity, the same-store rule, and the coherence edges under both
-load-value axioms.  They also pin the solved-DP cache key and the
-outcome-directed register pruning of ``is_allowed``.
+The kernel is the only path behind ``is_allowed``, ``enumerate_outcomes``
+and ``enumerate_executions``.  These tests hold it to a deliberately naive
+reference that never touches the kernel (:func:`_naive_executions`: every
+topological order, the literal LoadValue axiom, full-ppo and per-location
+SC as post-filters) on every registered model and on ``.model`` variants
+that reach each branch the kernel has: store identity, the same-store
+rule, and the coherence edges under both load-value axioms.  They also pin
+the solved-DP cache key and the outcome-directed register pruning of
+``is_allowed``.
 """
 
 import pytest
@@ -20,7 +21,9 @@ from repro.core.axiomatic import (
     is_allowed,
     project_outcome,
 )
-from repro.core.ppo import DynamicClause
+from repro.core.events import Execution
+from repro.core.perloc_sc import execution_is_per_location_sc
+from repro.core.ppo import DynamicClause, compute_ppo, project_to_memory
 from repro.litmus.dsl import LitmusBuilder
 from repro.litmus.frontend.suite import resolve_suite
 from repro.litmus.registry import all_tests, get_test
@@ -50,20 +53,107 @@ def _sweep_models():
     return [get_model(name) for name in MODELS] + [_variant(n) for n in VARIANTS]
 
 
+def _naive_executions(test, model, extra_values=(), prefix=None):
+    """Every execution by brute force, never calling the kernel.
+
+    Each topological order of the static DAG (ready nodes in ascending
+    index, an RMW's store half right after its load half) is a candidate
+    ``mo``; it survives if every load reads what the literal LoadValue
+    axiom gives it, if it respects every (static + dynamic) ppo edge, and,
+    under ``coherence required``, if the execution is per-location SC.
+    """
+    if prefix is None or not prefix.covers(extra_values):
+        prefix = CandidatePrefix(test, extra_values)
+    for combo_index in range(len(prefix.combos)):
+        candidate = prefix.candidate(combo_index, model)
+        if candidate is None:
+            continue
+        pairs = candidate.rmw_pairs
+        nodes = [e.eid for e in candidate.events if e.eid not in pairs.values()]
+        node_of = {eid: eid for eid in nodes} | {st: ld for ld, st in pairs.items()}
+        preds = {node: set() for node in nodes}
+        for a, b in candidate.mem_edges:
+            if node_of[a] != node_of[b]:
+                preds[node_of[b]].add(node_of[a])
+        for order in _topological_orders(nodes, preds, ()):
+            mo = tuple(e.eid for e in candidate.inits)
+            for node in order:
+                mo += (node, pairs[node]) if node in pairs else (node,)
+            execution = _naive_execution(candidate, model, mo)
+            if execution is not None and (
+                not model.requires_coherence
+                or execution_is_per_location_sc(execution)
+            ):
+                yield execution
+
+
+def _topological_orders(nodes, preds, order):
+    if len(order) == len(nodes):
+        yield order
+    placed = set(order)
+    for node in nodes:
+        if node not in placed and preds[node] <= placed:
+            yield from _topological_orders(nodes, preds, order + (node,))
+
+
+def _naive_execution(candidate, model, mo):
+    position = {eid: i for i, eid in enumerate(mo)}
+    stores = [e for e in candidate.inits + candidate.events if e.is_store]
+    rf, final_mem = {}, {}
+    for eid in mo:
+        event = candidate.event_by_id[eid]
+        if event.is_store:
+            final_mem[event.addr] = event.value
+            continue
+        visible = [
+            s
+            for s in stores
+            if s.addr == event.addr and position[s.eid] < position[eid]
+        ]
+        if model.load_value == "gam" and eid not in candidate.no_forward:
+            visible += candidate.po_stores.get(eid, ())
+        source = max(visible, key=lambda s: position[s.eid])
+        if source.value != event.value:
+            return None
+        rf[eid] = source.eid
+    for proc, ctx in enumerate(candidate.contexts):
+        rf_local = {index: src for (p, index), src in rf.items() if p == proc}
+        ppo = compute_ppo(ctx, model.clauses, model.dynamic_clauses, rf_local)
+        for a, b in project_to_memory(ctx, ppo):
+            if position[candidate.src_eid(proc, a)] >= position[(proc, b)]:
+                return None
+    return Execution(
+        runs=candidate.runs,
+        events=candidate.events,
+        inits=candidate.inits,
+        mo=mo,
+        rf=rf,
+        final_regs={
+            (proc, reg): value
+            for proc, run in enumerate(candidate.runs)
+            for reg, value in run.final_regs.items()
+        },
+        final_mem=final_mem,
+    )
+
+
 def _reference_allowed(test, model, outcome, prefix=None):
-    """The verdict read off every execution the order enumerator yields."""
+    """The verdict read off every execution of the naive reference."""
     extra = {v for _, _, v in outcome.regs} | {v for _, v in outcome.mem}
     return any(
         outcome.matches(execution.final_regs, execution.final_mem)
-        for execution in enumerate_executions(test, model, extra, prefix=prefix)
+        for execution in _naive_executions(test, model, extra, prefix=prefix)
     )
 
 
 def _assert_parity(test, models, prefix=None):
-    """Kernel outcome sets and verdicts must equal the projected
-    executions of :func:`enumerate_executions`."""
+    """``enumerate_executions`` must yield the naive reference's sequence,
+    and kernel outcome sets and verdicts must equal its projection."""
     for model in models:
-        executions = list(enumerate_executions(test, model, prefix=prefix))
+        executions = list(_naive_executions(test, model, prefix=prefix))
+        assert list(enumerate_executions(test, model, prefix=prefix)) == executions, (
+            f"{test.name} x {model.name}: execution sequences diverge"
+        )
         reference = frozenset(
             project_outcome(test, e.final_regs, e.final_mem, "full")
             for e in executions
@@ -173,7 +263,7 @@ class TestKernelInternals:
 
 
 class TestParityQuick:
-    """Kernel vs order enumerator on representative figures (tier-1)."""
+    """Kernel vs the naive reference on representative figures (tier-1)."""
 
     @pytest.mark.parametrize(
         "test_name",
@@ -185,13 +275,12 @@ class TestParityQuick:
         _assert_parity(test, [get_model(n) for n in ("sc", "gam", "wmm")], prefix)
 
     @pytest.mark.parametrize(
-        "test_name", ["rsw", "rnsw", "corr", "coww", "mp", "corw1", "cowr"]
+        "test_name",
+        ["rsw", "rnsw", "corr", "coww", "mp", "corw1", "cowr", "iriw", "dekker"],
     )
     def test_dynamic_and_coherent_parity(self, test_name):
         test = get_test(test_name)
-        prefix = CandidatePrefix(test)
-        models = [get_model("arm"), get_model("plsc")]
-        _assert_parity(test, models + [_variant(n) for n in VARIANTS], prefix)
+        _assert_parity(test, _sweep_models(), CandidatePrefix(test))
 
     def test_explicit_outcome_with_memory_constraint(self):
         test = get_test("coww")
