@@ -148,11 +148,6 @@ class HuntReport:
     text: str
     quarantined: Mapping[str, dict] = field(default_factory=dict)
 
-    @property
-    def witness_paths(self) -> tuple[str, ...]:
-        """The written ``.litmus`` files, in ranking order."""
-        return tuple(record.path for record in self.witnesses)
-
 
 def _witness_stem(disc: AnyDiscrepancy) -> str:
     """Deterministic file/test name for a discrepancy's witness.

@@ -361,7 +361,14 @@ class _Machine:
                     resolved, proc, rob2, later_pos, later.index
                 )
                 return
-            break  # first same-address memory instruction is not a done load
+            if (
+                isinstance(later_instr, Load)
+                and self.variant.same_address_loads == "none"
+            ):
+                # GAM0: younger loads do not stall behind this unissued
+                # one, so a load past it may have read stale memory.
+                continue
+            break  # a same-address store (or, under GAM, an unissued load)
         yield resolved
 
     def _execute_load(

@@ -75,7 +75,7 @@ __all__ = [
     "evaluate_cell",
 ]
 
-ENGINE_VERSION = 9
+ENGINE_VERSION = 10
 """Bumped whenever engine/axiomatic semantics change, invalidating caches.
 
 Version history:
@@ -126,6 +126,12 @@ Version history:
   walk.  Results are unchanged, but the kernel's DP loop changed and the
   R004 invariant ties every engine-path diff to a bump, so version-8
   entries re-verify.
+* 10 — the GAM0 abstract machine's store-address kill search skips past
+  unissued same-address loads (younger loads do not stall behind them
+  under GAM0) instead of stopping at the first one, so a load that read
+  stale memory past an address-unknown older store is killed.  Cached
+  ``operational:gam0`` outcome sets from version 9 carry the spurious
+  outcomes and must miss.
 """
 
 ModelLike = Union[str, MemoryModel]

@@ -17,8 +17,8 @@ from .litmus_matrix import (
 )
 from .render import render_bar_chart, render_table
 from .strength import StrengthMatrix, render_strength, strength_matrix
-from .table2 import Table2Row, render_table2, table2
-from .table3 import Table3Row, render_table3, table3
+from .table2 import render_table2, table2
+from .table3 import render_table3, table3
 
 __all__ = [
     "run_figure18",
@@ -27,10 +27,8 @@ __all__ = [
     "Figure18Row",
     "table2",
     "render_table2",
-    "Table2Row",
     "table3",
     "render_table3",
-    "Table3Row",
     "litmus_matrix",
     "render_matrix",
     "conformance_failures",

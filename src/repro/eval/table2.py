@@ -13,19 +13,29 @@ from dataclasses import dataclass
 from .figure18 import Figure18Result
 from .render import render_table
 
-__all__ = ["Table2Row", "table2", "render_table2"]
+__all__ = ["RateRow", "render_rates", "table2", "render_table2"]
 
 
 @dataclass(frozen=True)
-class Table2Row:
-    """One row of Table II: an event class with average and max rates."""
+class RateRow:
+    """One row of Tables II and III: an event class with average and max
+    rates."""
 
     label: str
     average_per_1k: float
     max_per_1k: float
 
 
-def table2(result: Figure18Result) -> list[Table2Row]:
+def render_rates(rows: list[RateRow], title: str) -> str:
+    """Render rate rows in the paper's Average/Max layout."""
+    return render_table(
+        ["", "Average", "Max"],
+        [[r.label, f"{r.average_per_1k:.2f}", f"{r.max_per_1k:.2f}"] for r in rows],
+        title=title,
+    )
+
+
+def table2(result: Figure18Result) -> list[RateRow]:
     """Compute Table II from the per-run statistics of a Figure 18 sweep."""
     def rates(policy: str, attribute: str) -> list[float]:
         values = []
@@ -44,7 +54,7 @@ def table2(result: Figure18Result) -> list[Table2Row]:
         ("Stalls in ARM", arm_stalls),
     ):
         rows.append(
-            Table2Row(
+            RateRow(
                 label=label,
                 average_per_1k=sum(values) / len(values) if values else 0.0,
                 max_per_1k=max(values, default=0.0),
@@ -53,13 +63,10 @@ def table2(result: Figure18Result) -> list[Table2Row]:
     return rows
 
 
-def render_table2(rows: list[Table2Row]) -> str:
+def render_table2(rows: list[RateRow]) -> str:
     """Render Table II in the paper's layout."""
-    return render_table(
-        ["", "Average", "Max"],
-        [[r.label, f"{r.average_per_1k:.2f}", f"{r.max_per_1k:.2f}"] for r in rows],
-        title=(
-            "Table II: kills and stalls caused by same-address load-load "
-            "ordering (events per 1K uOPs)"
-        ),
+    return render_rates(
+        rows,
+        "Table II: kills and stalls caused by same-address load-load "
+        "ordering (events per 1K uOPs)",
     )

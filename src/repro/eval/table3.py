@@ -10,24 +10,13 @@ of Alpha* relative to GAM.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .figure18 import Figure18Result
-from .render import render_table
+from .table2 import RateRow, render_rates
 
-__all__ = ["Table3Row", "table3", "render_table3"]
-
-
-@dataclass(frozen=True)
-class Table3Row:
-    """One row of Table III: an event class with average and max rates."""
-
-    label: str
-    average_per_1k: float
-    max_per_1k: float
+__all__ = ["table3", "render_table3"]
 
 
-def table3(result: Figure18Result) -> list[Table3Row]:
+def table3(result: Figure18Result) -> list[RateRow]:
     """Compute Table III from the per-run statistics of a Figure 18 sweep."""
     forwards: list[float] = []
     miss_reduction: list[float] = []
@@ -42,12 +31,12 @@ def table3(result: Figure18Result) -> list[Table3Row]:
             gam.l1_load_misses_per_1k - alpha.l1_load_misses_per_1k
         )
     rows = [
-        Table3Row(
+        RateRow(
             "Load-load forwardings",
             sum(forwards) / len(forwards) if forwards else 0.0,
             max(forwards, default=0.0),
         ),
-        Table3Row(
+        RateRow(
             "Reduced L1 load misses over GAM",
             sum(miss_reduction) / len(miss_reduction) if miss_reduction else 0.0,
             max(miss_reduction, default=0.0),
@@ -56,10 +45,9 @@ def table3(result: Figure18Result) -> list[Table3Row]:
     return rows
 
 
-def render_table3(rows: list[Table3Row]) -> str:
+def render_table3(rows: list[RateRow]) -> str:
     """Render Table III in the paper's layout."""
-    return render_table(
-        ["", "Average", "Max"],
-        [[r.label, f"{r.average_per_1k:.2f}", f"{r.max_per_1k:.2f}"] for r in rows],
-        title="Table III: effects of load-load forwardings in Alpha* (per 1K uOPs)",
+    return render_rates(
+        rows,
+        "Table III: effects of load-load forwardings in Alpha* (per 1K uOPs)",
     )

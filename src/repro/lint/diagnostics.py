@@ -8,7 +8,7 @@ and — when the finding is tied to a file — a source span.
 
 The code catalog :data:`CODES` is the single source of truth: analyzers
 construct findings through :func:`make` (which validates the code and
-supplies its default severity), ``tools/gen_lint_docs.py`` renders
+supplies its default severity), ``tools/gen_docs.py`` renders
 ``docs/lint.md`` from the catalog's titles/summaries/examples, and the
 test suite asserts every code has both a firing and a non-firing case.
 """
@@ -333,8 +333,10 @@ CODES: dict[str, CodeInfo] = dict(
             "R004",
             Severity.ERROR,
             "engine-version-not-bumped",
-            "A diff touches the engine (`src/repro/engine/` or "
-            "`src/repro/core/kernel.py`) without changing "
+            "A diff touches the engine or a module whose results it "
+            "caches (`src/repro/engine/`, `src/repro/core/kernel.py`, "
+            "`src/repro/core/operational.py` or "
+            "`src/repro/core/reference_machines.py`) without changing "
             "`ENGINE_VERSION` in `src/repro/engine/cells.py`.  The "
             "on-disk result cache keys on that version; forgetting the "
             "bump serves stale verdicts computed by old code.",

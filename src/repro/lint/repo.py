@@ -131,8 +131,15 @@ NETWORK_SCOPE = ("src/repro/",)
 NETWORK_ALLOWLIST: tuple[str, ...] = ()
 """Paths exempt from ``R006``: none — no package may import the network."""
 
-ENGINE_PATHS = ("src/repro/engine/", "src/repro/core/kernel.py")
-"""Paths whose diffs require an ``ENGINE_VERSION`` bump (``R004``)."""
+ENGINE_PATHS = (
+    "src/repro/engine/",
+    "src/repro/core/kernel.py",
+    "src/repro/core/operational.py",
+    "src/repro/core/reference_machines.py",
+)
+"""Paths whose diffs require an ``ENGINE_VERSION`` bump (``R004``): the
+engine, the frontier kernel, and the abstract machines whose outcome
+sets operational cells cache."""
 
 ENGINE_VERSION_FILE = "src/repro/engine/cells.py"
 """Where ``ENGINE_VERSION`` lives."""

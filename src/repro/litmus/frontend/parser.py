@@ -264,9 +264,6 @@ class _Parser:
 
     # -- line plumbing ---------------------------------------------------
 
-    def _lineno(self) -> int:
-        return self.index  # index already advanced past the returned line
-
     def _next_line(self) -> Optional[tuple[str, int]]:
         """The next significant line (comments captured, blanks skipped)."""
         while self.index < len(self.lines):

@@ -129,10 +129,6 @@ class LitmusTest:
                 return name
         return hex(addr)
 
-    def observes_memory(self) -> bool:
-        """True if the asked outcome constrains final memory."""
-        return self.asked is not None and bool(self.asked.mem)
-
     def parse_outcome(self, spec: OutcomeSpec) -> Outcome:
         """Parse an outcome spec in the context of this test's locations."""
         return _parse_outcome(spec, self.locations)

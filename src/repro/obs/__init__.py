@@ -4,7 +4,7 @@ Dependency-free instrumentation core (imports nothing from the rest of
 ``repro``, so every layer may import it without cycles):
 
 * :mod:`repro.obs.registry` — the closed metric vocabulary, rendered
-  into ``docs/observability.md`` by ``tools/gen_obs_docs.py``.
+  into ``docs/observability.md`` by ``tools/gen_docs.py``.
 * :mod:`repro.obs.core` — the recorder (:func:`incr`, :func:`observe`,
   :func:`time_block`), the no-op default, and picklable
   :class:`StatsSnapshot` merging for ``--jobs N`` workers.

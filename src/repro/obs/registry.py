@@ -5,7 +5,7 @@ is declared here, exactly like lint diagnostics live in
 :mod:`repro.lint.diagnostics`.  Recording an undeclared name is a
 programming error (:class:`ValueError` from the recorder), which keeps
 ``docs/observability.md`` — generated from this catalog by
-``tools/gen_obs_docs.py`` — a complete reference of what a run report
+``tools/gen_docs.py`` — a complete reference of what a run report
 can contain.
 
 Metric kinds:

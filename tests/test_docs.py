@@ -1,7 +1,7 @@
-"""Docs-tree consistency: generated CLI reference, links, docstrings.
+"""Docs-tree consistency: generated references, links, docstrings.
 
-Keeps the ``docs/`` satellite honest: ``docs/cli.md`` must match what
-``tools/gen_cli_docs.py`` renders from the live argparse tree, every
+Keeps the ``docs/`` satellite honest: every generated reference must
+match what ``tools/gen_docs.py`` renders from the live catalogs, every
 relative markdown link must resolve, and the public API of the engine,
 litmus frontend and campaign packages must be fully docstring'd.
 """
@@ -26,14 +26,38 @@ def _load_tool(name: str):
     return module
 
 
+GEN_DOCS = _load_tool("gen_docs")
+
+
+class TestGeneratedDocs:
+    @pytest.mark.parametrize("name", list(GEN_DOCS.DOCS))
+    def test_doc_is_in_sync(self, name):
+        committed = (ROOT / "docs" / name).read_text(encoding="utf-8")
+        assert committed == GEN_DOCS.render(name), (
+            f"docs/{name} is stale; regenerate with `python tools/gen_docs.py`"
+        )
+
+
+def _assert_check_detects_staleness(name, tmp_path, monkeypatch, capsys):
+    """``gen_docs.py --check`` exits 1 naming only the stale *name*."""
+    monkeypatch.setattr(GEN_DOCS, "DOCS_DIR", str(tmp_path))
+    assert GEN_DOCS.main([]) == 0
+    (tmp_path / name).write_text("out of date", encoding="utf-8")
+    capsys.readouterr()
+    assert GEN_DOCS.main(["--check"]) == 1
+    err = capsys.readouterr().err
+    assert f"{name} is out of sync" in err
+    for other in GEN_DOCS.DOCS:
+        if other != name:
+            assert other not in err
+    assert GEN_DOCS.main([]) == 0
+    assert GEN_DOCS.main(["--check"]) == 0
+
+
 class TestCliReference:
-    def test_cli_md_is_in_sync(self):
-        gen_cli_docs = _load_tool("gen_cli_docs")
-        rendered = gen_cli_docs.render_cli_docs()
-        committed = (ROOT / "docs" / "cli.md").read_text(encoding="utf-8")
-        assert committed == rendered, (
-            "docs/cli.md is stale; regenerate with "
-            "`PYTHONPATH=src python tools/gen_cli_docs.py`"
+    def test_check_mode_detects_staleness(self, tmp_path, monkeypatch, capsys):
+        _assert_check_detects_staleness(
+            "cli.md", tmp_path, monkeypatch, capsys
         )
 
     def test_every_command_is_documented(self):
@@ -43,16 +67,6 @@ class TestCliReference:
         for command in _COMMANDS:
             assert f"## `repro {command}`" in text
 
-    def test_check_mode_detects_staleness(self, tmp_path, monkeypatch, capsys):
-        gen_cli_docs = _load_tool("gen_cli_docs")
-        stale = tmp_path / "cli.md"
-        stale.write_text("out of date", encoding="utf-8")
-        monkeypatch.setattr(gen_cli_docs, "OUTPUT", str(stale))
-        assert gen_cli_docs.main(["--check"]) == 1
-        assert "out of sync" in capsys.readouterr().err
-        assert gen_cli_docs.main([]) == 0
-        assert gen_cli_docs.main(["--check"]) == 0
-
     def test_model_subcommands_are_documented(self):
         text = (ROOT / "docs" / "cli.md").read_text(encoding="utf-8")
         for section in ("model", "model show", "model import", "model export"):
@@ -60,13 +74,9 @@ class TestCliReference:
 
 
 class TestModelReference:
-    def test_models_md_is_in_sync(self):
-        gen_model_docs = _load_tool("gen_model_docs")
-        rendered = gen_model_docs.render_model_docs()
-        committed = (ROOT / "docs" / "models.md").read_text(encoding="utf-8")
-        assert committed == rendered, (
-            "docs/models.md is stale; regenerate with "
-            "`PYTHONPATH=src python tools/gen_model_docs.py`"
+    def test_check_mode_detects_staleness(self, tmp_path, monkeypatch, capsys):
+        _assert_check_detects_staleness(
+            "models.md", tmp_path, monkeypatch, capsys
         )
 
     def test_clause_vocabulary_is_covered(self):
@@ -87,25 +97,11 @@ class TestModelReference:
         for knob in CTOR_KNOBS:
             assert f"`{knob}`" in text, f"knob {knob} missing from models.md"
 
-    def test_check_mode_detects_staleness(self, tmp_path, monkeypatch, capsys):
-        gen_model_docs = _load_tool("gen_model_docs")
-        stale = tmp_path / "models.md"
-        stale.write_text("out of date", encoding="utf-8")
-        monkeypatch.setattr(gen_model_docs, "OUTPUT", str(stale))
-        assert gen_model_docs.main(["--check"]) == 1
-        assert "out of sync" in capsys.readouterr().err
-        assert gen_model_docs.main([]) == 0
-        assert gen_model_docs.main(["--check"]) == 0
-
 
 class TestLintReference:
-    def test_lint_md_is_in_sync(self):
-        gen_lint_docs = _load_tool("gen_lint_docs")
-        rendered = gen_lint_docs.render_lint_docs()
-        committed = (ROOT / "docs" / "lint.md").read_text(encoding="utf-8")
-        assert committed == rendered, (
-            "docs/lint.md is stale; regenerate with "
-            "`PYTHONPATH=src python tools/gen_lint_docs.py`"
+    def test_check_mode_detects_staleness(self, tmp_path, monkeypatch, capsys):
+        _assert_check_detects_staleness(
+            "lint.md", tmp_path, monkeypatch, capsys
         )
 
     def test_every_code_is_documented(self):
@@ -117,27 +113,11 @@ class TestLintReference:
                 f"diagnostic {code} missing from lint.md"
             )
 
-    def test_check_mode_detects_staleness(self, tmp_path, monkeypatch, capsys):
-        gen_lint_docs = _load_tool("gen_lint_docs")
-        stale = tmp_path / "lint.md"
-        stale.write_text("out of date", encoding="utf-8")
-        monkeypatch.setattr(gen_lint_docs, "OUTPUT", str(stale))
-        assert gen_lint_docs.main(["--check"]) == 1
-        assert "out of sync" in capsys.readouterr().err
-        assert gen_lint_docs.main([]) == 0
-        assert gen_lint_docs.main(["--check"]) == 0
-
 
 class TestObsReference:
-    def test_observability_md_is_in_sync(self):
-        gen_obs_docs = _load_tool("gen_obs_docs")
-        rendered = gen_obs_docs.render_obs_docs()
-        committed = (ROOT / "docs" / "observability.md").read_text(
-            encoding="utf-8"
-        )
-        assert committed == rendered, (
-            "docs/observability.md is stale; regenerate with "
-            "`PYTHONPATH=src python tools/gen_obs_docs.py`"
+    def test_check_mode_detects_staleness(self, tmp_path, monkeypatch, capsys):
+        _assert_check_detects_staleness(
+            "observability.md", tmp_path, monkeypatch, capsys
         )
 
     def test_every_metric_is_documented(self):
@@ -148,27 +128,11 @@ class TestObsReference:
             shown = f"`{name}.<label>`" if spec.dynamic else f"`{name}`"
             assert shown in text, f"metric {name} missing from observability.md"
 
-    def test_check_mode_detects_staleness(self, tmp_path, monkeypatch, capsys):
-        gen_obs_docs = _load_tool("gen_obs_docs")
-        stale = tmp_path / "observability.md"
-        stale.write_text("out of date", encoding="utf-8")
-        monkeypatch.setattr(gen_obs_docs, "OUTPUT", str(stale))
-        assert gen_obs_docs.main(["--check"]) == 1
-        assert "out of sync" in capsys.readouterr().err
-        assert gen_obs_docs.main([]) == 0
-        assert gen_obs_docs.main(["--check"]) == 0
-
 
 class TestRobustnessReference:
-    def test_robustness_md_is_in_sync(self):
-        gen = _load_tool("gen_robustness_docs")
-        rendered = gen.render_robustness_docs()
-        committed = (ROOT / "docs" / "robustness.md").read_text(
-            encoding="utf-8"
-        )
-        assert committed == rendered, (
-            "docs/robustness.md is stale; regenerate with "
-            "`PYTHONPATH=src python tools/gen_robustness_docs.py`"
+    def test_check_mode_detects_staleness(self, tmp_path, monkeypatch, capsys):
+        _assert_check_detects_staleness(
+            "robustness.md", tmp_path, monkeypatch, capsys
         )
 
     def test_vocabulary_is_covered(self):
@@ -177,16 +141,6 @@ class TestRobustnessReference:
         text = (ROOT / "docs" / "robustness.md").read_text(encoding="utf-8")
         for name in (*ON_ERROR_MODES, *FAILURE_REASONS, *FAULT_KINDS):
             assert f"`{name}`" in text, f"{name} missing from robustness.md"
-
-    def test_check_mode_detects_staleness(self, tmp_path, monkeypatch, capsys):
-        gen = _load_tool("gen_robustness_docs")
-        stale = tmp_path / "robustness.md"
-        stale.write_text("out of date", encoding="utf-8")
-        monkeypatch.setattr(gen, "OUTPUT", str(stale))
-        assert gen.main(["--check"]) == 1
-        assert "out of sync" in capsys.readouterr().err
-        assert gen.main([]) == 0
-        assert gen.main(["--check"]) == 0
 
 
 class TestLintReproTool:

@@ -125,3 +125,17 @@ def test_random_tests_with_three_procs():
     config = RandomProgramConfig(num_procs=3, max_instrs=3)
     reports = fuzz_equivalence(2, seed=5, config=config, pair_names=("gam",))
     assert all(r.equivalent for r in reports)
+
+
+@pytest.mark.parametrize("name", ["rand-1-8", "rand-1-14"])
+def test_gam0_store_address_kills_past_unissued_load(name):
+    # A younger load may read memory past an older unissued same-address
+    # load under GAM0; resolving an even older store's address must still
+    # kill it, or the machine admits a read of the initial value past a
+    # po-earlier store that no LoadValue axiom allows.
+    from repro.litmus.frontend.suite import resolve_suite
+
+    test = next(t for t in resolve_suite("rand:n=16,seed=1") if t.name == name)
+    report = check_pair(test, "gam0")
+    operational_only, _ = report.differences()
+    assert report.equivalent, sorted(map(str, operational_only))

@@ -6,9 +6,10 @@ reference that never touches the kernel (:func:`_naive_executions`: every
 topological order, the literal LoadValue axiom, full-ppo and per-location
 SC as post-filters) on every registered model and on ``.model`` variants
 that reach each branch the kernel has: store identity, the same-store
-rule, and the coherence edges under both load-value axioms.  They also pin
-the solved-DP cache key and the outcome-directed register pruning of
-``is_allowed``.
+rule, and the coherence edges under both load-value axioms.  The same
+reference is cross-checked against the GAM and GAM0 abstract machines.
+They also pin the solved-DP cache key and the outcome-directed register
+pruning of ``is_allowed``.
 """
 
 import pytest
@@ -22,6 +23,7 @@ from repro.core.axiomatic import (
     project_outcome,
 )
 from repro.core.events import Execution
+from repro.core.operational import GAM0_MACHINE, GAM_MACHINE, operational_outcomes
 from repro.core.perloc_sc import execution_is_per_location_sc
 from repro.core.ppo import DynamicClause, compute_ppo, project_to_memory
 from repro.litmus.dsl import LitmusBuilder
@@ -169,6 +171,23 @@ def _assert_parity(test, models, prefix=None):
             )
 
 
+def _assert_machine_parity(test):
+    """The naive reference's full outcome set must equal what the GAM and
+    GAM0 abstract machines reach: axioms and machines cross-checked without
+    the kernel in between."""
+    for name, variant in (("gam", GAM_MACHINE), ("gam0", GAM0_MACHINE)):
+        reference = frozenset(
+            project_outcome(test, e.final_regs, e.final_mem, "full")
+            for e in _naive_executions(test, get_model(name))
+        )
+        machine = operational_outcomes(test, variant, project="full")
+        assert reference == machine, (
+            f"{test.name} x {name}: reference-only "
+            f"{sorted(map(str, reference - machine))[:3]}, machine-only "
+            f"{sorted(map(str, machine - reference))[:3]}"
+        )
+
+
 class TestDispatch:
     def test_auto_uses_kernel_for_static_models(self):
         test = get_test("dekker")
@@ -290,6 +309,26 @@ class TestParityQuick:
             assert is_allowed(test, model, addr_outcome) == _reference_allowed(
                 test, model, addr_outcome
             ), name
+
+
+class TestMachineParity:
+    """The naive reference vs the GAM and GAM0 abstract machines."""
+
+    @pytest.mark.parametrize("test_name", ["dekker", "mp", "corr", "iriw", "rsw"])
+    def test_paper_figures(self, test_name):
+        _assert_machine_parity(get_test(test_name))
+
+    @pytest.mark.slow
+    def test_registered_suite(self):
+        for test in all_tests():
+            _assert_machine_parity(test)
+
+    @pytest.mark.slow
+    def test_random_suite(self):
+        # Includes rand-1-8 and rand-1-14, where GAM0's store-address kill
+        # search once stopped at an unissued same-address load.
+        for test in resolve_suite("rand:n=40,seed=1"):
+            _assert_machine_parity(test)
 
 
 @pytest.mark.slow

@@ -485,10 +485,16 @@ class TestRepoCodes:
         assert "src/repro/engine/cells.py" in findings[0].message
 
     def test_r004_kernel_counts_as_engine(self):
-        findings = check_engine_version_bump(
-            ["src/repro/core/kernel.py", "README.md"], version_bumped=False
-        )
-        assert _codes(findings) == ["R004"]
+        # The operational machines' outcome sets are cached too.
+        for path in (
+            "src/repro/core/kernel.py",
+            "src/repro/core/operational.py",
+            "src/repro/core/reference_machines.py",
+        ):
+            findings = check_engine_version_bump(
+                [path, "README.md"], version_bumped=False
+            )
+            assert _codes(findings) == ["R004"], path
 
     def test_r004_quiet_when_bumped_or_untouched(self):
         assert check_engine_version_bump(
